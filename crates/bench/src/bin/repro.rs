@@ -38,7 +38,9 @@
 //! redundancy-heavy mapping chain at increasing hop counts with core
 //! minimization off and on, stitches end-to-end routes for a pinned probe
 //! set, and writes `bench_results/micro_pipeline.csv`; `--quick` shrinks
-//! any of them to a CI smoke run.
+//! any of them to a CI smoke run and writes its CSV under
+//! `target/bench-smoke/` instead, so smoke runs never overwrite the
+//! committed full-run results in `bench_results/`.
 
 use std::path::Path;
 
@@ -83,7 +85,11 @@ fn main() {
         _ => usage("too many experiment names"),
     };
 
-    let out_dir = Path::new("bench_results");
+    let out_dir = Path::new(if quick {
+        "target/bench-smoke"
+    } else {
+        "bench_results"
+    });
     let run = |name: &str| which == "all" || which == name;
     let mut ran = false;
 

@@ -1,7 +1,7 @@
 //! `routes-obs` — the observability substrate for the route-debugging
 //! service, std-only like the rest of the workspace (DESIGN.md §5).
 //!
-//! Three small pieces, each usable on its own:
+//! Small pieces, each usable on its own:
 //!
 //! * [`log`] — leveled structured logging: one JSON object per line on
 //!   stderr, filtered by `ROUTES_LOG` / [`log::set_level`]. Log lines
@@ -10,6 +10,8 @@
 //!   trace IDs, a thread-local trace context propagated across
 //!   `routes-pool` workers, and a fixed-capacity preallocated ring buffer
 //!   of completed spans (`GET /trace` serves it).
+//! * [`hist`] — the fixed-bucket atomic [`Histogram`] behind every
+//!   latency histogram the service renders.
 //! * [`prom`] — Prometheus text-format exposition helpers (`# HELP` /
 //!   `# TYPE` families, label escaping, cumulative histogram buckets,
 //!   bucket exemplars) for `GET /metrics?format=prometheus`.
@@ -22,18 +24,20 @@
 //! `routes-server` in the dependency graph and depends on nothing, so any
 //! layer can emit spans and logs without cycles.
 
+pub mod hist;
 pub mod log;
 pub mod profile;
 pub mod prom;
 pub mod trace;
 
+pub use hist::Histogram;
 pub use log::{log, set_level, set_sink, Level, Value, LOG_ENV};
 pub use profile::{
     adopt_frames, collect as profile_collect, manual_profile, profile_frame, profile_hz_from_env,
     profiler_enabled, reset_samples, sample_once, snapshot_frames, start_sampler, AdoptedFrames,
     FrameGuard, ProfileSnapshot, Sampler, MAX_PROFILE_HZ, PROFILE_HZ_ENV,
 };
-pub use prom::{escape_help, escape_label, PromText, PROMETHEUS_CONTENT_TYPE};
+pub use prom::{PromText, PROMETHEUS_CONTENT_TYPE};
 pub use trace::{
     current, current_trace_id, record_current, scoped, set_current, slow_threshold_from_env, span,
     ScopedCtx, Span, SpanRecord, TraceCtx, TraceId, TraceIdGen, Tracer, DEFAULT_SLOW_MS,

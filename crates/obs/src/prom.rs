@@ -1,8 +1,9 @@
 //! Prometheus text exposition format (version 0.0.4) rendering helpers.
 //!
-//! The server's `/metrics?format=prometheus` endpoint renders every
-//! counter and histogram it serves as JSON through this writer, so the
-//! two forms stay reconciled: same snapshot in, both renderings out.
+//! The server declares each `/metrics` series once, in one list, and
+//! walks that list twice: into its JSON builder and into this writer for
+//! `/metrics?format=prometheus`. Both renderings therefore come from the
+//! same declarations and the same snapshot.
 //!
 //! Layout rules implemented here (the subset the format mandates):
 //!
@@ -16,31 +17,17 @@
 /// The content type a Prometheus scraper expects.
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
-/// Escape a label value: `\` → `\\`, `"` → `\"`, newline → `\n`.
-pub fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escape `# HELP` text: `\` → `\\`, newline → `\n`.
-pub fn escape_help(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
+/// Append `text` escaped: `\` → `\\` and newline → `\n` always (`# HELP`
+/// text), plus `"` → `\"` when `quote` (label values).
+fn push_escaped(out: &mut String, text: &str, quote: bool) {
     for c in text.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
+            '"' if quote => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
             c => out.push(c),
         }
     }
-    out
 }
 
 /// An in-progress text exposition.
@@ -61,7 +48,7 @@ impl PromText {
         self.out.push_str("# HELP ");
         self.out.push_str(name);
         self.out.push(' ');
-        self.out.push_str(&escape_help(help));
+        push_escaped(&mut self.out, help, false);
         self.out.push('\n');
         self.out.push_str("# TYPE ");
         self.out.push_str(name);
@@ -72,9 +59,7 @@ impl PromText {
 
     /// One sample line: `name{labels} value`.
     pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.push_series(name, labels, None);
-        self.out.push(' ');
-        self.out.push_str(&value.to_string());
+        self.push_sample(name, "", labels, None, value);
         self.out.push('\n');
     }
 
@@ -82,46 +67,15 @@ impl PromText {
     /// (bounds then `+Inf`), `_count`, and `_sum` when tracked.
     /// `counts` are per-bucket (non-cumulative), one per bound plus the
     /// final unbounded bucket — the layout the JSON form uses.
-    pub fn histogram(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[u64],
-        counts: &[u64],
-        sum: Option<u64>,
-    ) {
-        debug_assert_eq!(counts.len(), bounds.len() + 1);
-        let mut cumulative = 0u64;
-        for (i, &count) in counts.iter().enumerate() {
-            cumulative += count;
-            let le = bounds
-                .get(i)
-                .map_or_else(|| "+Inf".to_owned(), |b| b.to_string());
-            self.push_series(&format!("{name}_bucket"), labels, Some(("le", &le)));
-            self.out.push(' ');
-            self.out.push_str(&cumulative.to_string());
-            self.out.push('\n');
-        }
-        if let Some(sum) = sum {
-            self.push_series(&format!("{name}_sum"), labels, None);
-            self.out.push(' ');
-            self.out.push_str(&sum.to_string());
-            self.out.push('\n');
-        }
-        self.push_series(&format!("{name}_count"), labels, None);
-        self.out.push(' ');
-        self.out.push_str(&cumulative.to_string());
-        self.out.push('\n');
-    }
-
-    /// [`PromText::histogram`] with an optional latency exemplar per
+    ///
+    /// `exemplars` is empty or holds one optional latency exemplar per
     /// bucket: `exemplars[i]`, when present, annotates bucket `i`'s line
     /// OpenMetrics-style — `… 7 # {trace_id="abc"} 1234` — linking the
     /// bucket to the trace of its slowest recent occupant (the exemplar
     /// value is that occupant's duration in µs). Scrapers that predate
     /// exemplars treat everything after `#` as a comment, so the lines
     /// stay parseable either way.
-    pub fn histogram_with_exemplars(
+    pub fn histogram(
         &mut self,
         name: &str,
         labels: &[(&str, &str)],
@@ -131,38 +85,45 @@ impl PromText {
         exemplars: &[Option<(String, u64)>],
     ) {
         debug_assert_eq!(counts.len(), bounds.len() + 1);
-        debug_assert_eq!(exemplars.len(), counts.len());
+        debug_assert!(exemplars.is_empty() || exemplars.len() == counts.len());
         let mut cumulative = 0u64;
+        let mut le = String::new();
         for (i, &count) in counts.iter().enumerate() {
             cumulative += count;
-            let le = bounds
-                .get(i)
-                .map_or_else(|| "+Inf".to_owned(), |b| b.to_string());
-            self.push_series(&format!("{name}_bucket"), labels, Some(("le", &le)));
-            self.out.push(' ');
-            self.out.push_str(&cumulative.to_string());
-            if let Some((trace, dur_us)) = exemplars[i].as_ref() {
+            le.clear();
+            match bounds.get(i) {
+                Some(b) => push_u64(&mut le, *b),
+                None => le.push_str("+Inf"),
+            }
+            self.push_sample(name, "_bucket", labels, Some(("le", &le)), cumulative);
+            if let Some(Some((trace, dur_us))) = exemplars.get(i) {
                 self.out.push_str(" # {trace_id=\"");
-                self.out.push_str(&escape_label(trace));
+                push_escaped(&mut self.out, trace, true);
                 self.out.push_str("\"} ");
-                self.out.push_str(&dur_us.to_string());
+                push_u64(&mut self.out, *dur_us);
             }
             self.out.push('\n');
         }
         if let Some(sum) = sum {
-            self.push_series(&format!("{name}_sum"), labels, None);
-            self.out.push(' ');
-            self.out.push_str(&sum.to_string());
+            self.push_sample(name, "_sum", labels, None, sum);
             self.out.push('\n');
         }
-        self.push_series(&format!("{name}_count"), labels, None);
-        self.out.push(' ');
-        self.out.push_str(&cumulative.to_string());
+        self.push_sample(name, "_count", labels, None, cumulative);
         self.out.push('\n');
     }
 
-    fn push_series(&mut self, name: &str, labels: &[(&str, &str)], extra: Option<(&str, &str)>) {
+    /// `name` + `suffix`, the label set (plus `extra`), and the value,
+    /// without the line end.
+    fn push_sample(
+        &mut self,
+        name: &str,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        extra: Option<(&str, &str)>,
+        value: u64,
+    ) {
         self.out.push_str(name);
+        self.out.push_str(suffix);
         let total = labels.len() + usize::from(extra.is_some());
         if total > 0 {
             self.out.push('{');
@@ -175,17 +136,24 @@ impl PromText {
                 debug_assert!(valid_label_name(k), "bad label name {k}");
                 self.out.push_str(k);
                 self.out.push_str("=\"");
-                self.out.push_str(&escape_label(v));
+                push_escaped(&mut self.out, v, true);
                 self.out.push('"');
             }
             self.out.push('}');
         }
+        self.out.push(' ');
+        push_u64(&mut self.out, value);
     }
 
     /// The finished exposition body.
     pub fn finish(self) -> String {
         self.out
     }
+}
+
+fn push_u64(out: &mut String, value: u64) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{value}");
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -208,8 +176,13 @@ mod tests {
 
     #[test]
     fn label_and_help_escaping() {
-        assert_eq!(escape_label("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
-        assert_eq!(escape_help("a\\b\"c\nd"), "a\\\\b\"c\\nd");
+        let escape = |quote| {
+            let mut out = String::new();
+            push_escaped(&mut out, "a\\b\"c\nd", quote);
+            out
+        };
+        assert_eq!(escape(true), "a\\\\b\\\"c\\nd");
+        assert_eq!(escape(false), "a\\\\b\"c\\nd");
     }
 
     #[test]
@@ -245,7 +218,7 @@ mod tests {
         w.family("routes_lat_us", "histogram", "Latency.");
         // A hostile "trace id" with every escapable character; real ids
         // are [A-Za-z0-9._-] but the renderer must not rely on that.
-        w.histogram_with_exemplars(
+        w.histogram(
             "routes_lat_us",
             &[],
             &[100],
@@ -277,6 +250,7 @@ mod tests {
             &[100, 500],
             &[3, 2, 1],
             Some(900),
+            &[],
         );
         let text = w.finish();
         assert_eq!(

@@ -1,19 +1,24 @@
-//! Service counters, lock-free via atomics.
+//! Service counters, lock-free via atomics, and the `/metrics` declaration
+//! list.
 //!
 //! One [`Metrics`] instance is shared by every worker thread; all updates
 //! are relaxed (counters tolerate reordering, they only need to not lose
-//! increments). `GET /metrics` renders a snapshot.
+//! increments). `GET /metrics` renders a snapshot as JSON or as Prometheus
+//! text. Both renderings walk one list, `declare`: each series appears
+//! there once, with its JSON path, Prometheus family, kind, help, labels and
+//! reading, so the two formats cannot diverge.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use routes_model::JoinSnapshot;
+use routes_obs::{Histogram, PromText};
 use routes_store::{PersistSnapshot, FSYNC_BUCKETS_US};
 
 use crate::json::Json;
 use crate::session::{ShardSnapshot, StoreSnapshot, LOCK_WAIT_BUCKETS_US};
-use crate::window::{window_seconds_from_env, WindowRing, WindowSnapshot};
+use crate::window::{window_seconds_from_env, WindowRing};
 
 /// Upper bounds (µs) of the request-latency histogram buckets; the last
 /// bucket is unbounded.
@@ -35,7 +40,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// All phases, in the order they appear in the `/metrics` JSON.
+    /// All phases, in the order they appear in `/metrics`.
     pub const ALL: [Phase; 5] = [
         Phase::Chase,
         Phase::Forest,
@@ -44,7 +49,7 @@ impl Phase {
         Phase::Edit,
     ];
 
-    /// The JSON key of this phase.
+    /// The phase's `phase` label value and JSON key.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Chase => "chase",
@@ -56,37 +61,11 @@ impl Phase {
     }
 }
 
-/// Per-phase wall-time accounting: sample count, total microseconds, and a
-/// latency histogram over [`LATENCY_BUCKETS_US`].
-#[derive(Default)]
-pub struct PhaseStats {
-    pub count: AtomicU64,
-    pub total_us: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-}
-
-impl PhaseStats {
-    fn record(&self, latency: Duration) {
-        self.count.fetch_add(1, Relaxed);
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.total_us.fetch_add(us, Relaxed);
-        self.latency[bucket_of(us)].fetch_add(1, Relaxed);
-    }
-
-    fn latency_counts(&self) -> Vec<u64> {
-        self.latency.iter().map(|c| c.load(Relaxed)).collect()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::from(self.count.load(Relaxed))),
-            ("total_us", Json::from(self.total_us.load(Relaxed))),
-            (
-                "latency_us",
-                histogram_json(&LATENCY_BUCKETS_US, &self.latency_counts()),
-            ),
-        ])
-    }
+/// Per-phase wall-time accounting: total microseconds and a latency
+/// histogram over [`LATENCY_BUCKETS_US`] (whose total is the sample count).
+struct PhaseStats {
+    total_us: AtomicU64,
+    latency: Histogram,
 }
 
 /// Shared service counters.
@@ -115,7 +94,7 @@ pub struct Metrics {
     /// Connections force-closed by a deadline (every 408 plus write-side
     /// stalls that never got a response).
     pub admission_reaped: AtomicU64,
-    admission_queue_wait: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
+    admission_queue_wait: Histogram,
     pub sessions_created: AtomicU64,
     pub sessions_deleted: AtomicU64,
     pub sessions_evicted: AtomicU64,
@@ -140,7 +119,7 @@ pub struct Metrics {
     pub pipeline_stitched_routes: AtomicU64,
     /// Per-hop routes inside answered stitched routes (hops summed).
     pub pipeline_stitched_hops: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
+    latency: Histogram,
     phases: [PhaseStats; Phase::ALL.len()],
     /// Rolling one-second traffic windows (live rps / error rate / tail
     /// latency; `ROUTES_WINDOW_SECONDS` sizes the ring).
@@ -163,154 +142,10 @@ struct Exemplar {
 /// traces the ring buffer still holds.
 const EXEMPLAR_TTL: Duration = Duration::from_secs(10);
 
-fn bucket_of(us: u64) -> usize {
-    LATENCY_BUCKETS_US
-        .iter()
-        .position(|&b| us <= b)
-        .unwrap_or(LATENCY_BUCKETS_US.len())
-}
-
-/// Render a histogram as `[{le_us, count}, ...]`; `counts` must hold one
-/// entry per bound plus the final unbounded bucket.
-fn histogram_json(bounds: &[u64], counts: &[u64]) -> Json {
-    debug_assert_eq!(counts.len(), bounds.len() + 1);
-    Json::Array(
-        counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| {
-                let le = bounds
-                    .get(i)
-                    .map_or_else(|| "inf".to_owned(), |b| b.to_string());
-                Json::obj([("le_us", Json::from(le)), ("count", Json::from(count))])
-            })
-            .collect(),
-    )
-}
-
-fn shard_json(shard: &ShardSnapshot) -> Json {
-    Json::obj([
-        ("sessions", Json::from(shard.sessions)),
-        ("capacity", Json::from(shard.capacity)),
-        ("hits", Json::from(shard.hits)),
-        ("misses", Json::from(shard.misses)),
-        ("inserts", Json::from(shard.inserts)),
-        ("removes", Json::from(shard.removes)),
-        ("evictions", Json::from(shard.evictions)),
-        ("demotions", Json::from(shard.demotions)),
-        ("evict_scan_steps", Json::from(shard.evict_scan_steps)),
-        ("write_locks", Json::from(shard.write_locks)),
-        (
-            "lock_wait_read_us",
-            histogram_json(&LOCK_WAIT_BUCKETS_US, &shard.lock_wait_read_us),
-        ),
-        (
-            "lock_wait_write_us",
-            histogram_json(&LOCK_WAIT_BUCKETS_US, &shard.lock_wait_write_us),
-        ),
-    ])
-}
-
-/// Render a session-store snapshot: store-wide totals plus the per-shard
-/// counter blocks (`/metrics` embeds this as `session_store`).
-pub fn store_json(store: &StoreSnapshot) -> Json {
-    Json::obj([
-        ("capacity", Json::from(store.capacity)),
-        ("shard_count", Json::from(store.shards.len())),
-        ("live_sessions", Json::from(store.live())),
-        ("hits", Json::from(store.hits())),
-        ("misses", Json::from(store.misses())),
-        ("inserts", Json::from(store.inserts())),
-        ("removes", Json::from(store.removes())),
-        ("evictions", Json::from(store.evictions())),
-        ("evict_scan_steps", Json::from(store.evict_scan_steps())),
-        ("write_locks", Json::from(store.write_locks())),
-        (
-            "shards",
-            Json::Array(store.shards.iter().map(shard_json).collect()),
-        ),
-    ])
-}
-
 impl Default for Metrics {
     fn default() -> Self {
         Metrics::new()
     }
-}
-
-/// Render the persistence counters (`/metrics` embeds this as
-/// `persistence` when a data directory is configured).
-pub fn persist_json(p: &PersistSnapshot) -> Json {
-    Json::obj([
-        ("wal_gen", Json::from(p.wal_gen)),
-        ("wal_appends", Json::from(p.wal_appends)),
-        ("wal_bytes", Json::from(p.wal_bytes)),
-        (
-            "wal_records_since_checkpoint",
-            Json::from(p.wal_records_since_checkpoint),
-        ),
-        ("fsync_batches", Json::from(p.fsync_batches)),
-        ("fsync_records", Json::from(p.fsync_records)),
-        (
-            "fsync_latency_us",
-            histogram_json(&FSYNC_BUCKETS_US, &p.fsync_latency_us),
-        ),
-        ("snapshots_written", Json::from(p.snapshots_written)),
-        ("replayed_records", Json::from(p.replayed_records)),
-        ("restored_sessions", Json::from(p.restored_sessions)),
-        ("recovery_us", Json::from(p.recovery_us)),
-    ])
-}
-
-/// Render a window snapshot (`/metrics` embeds this as `window`). All
-/// integer-valued: rates milli-scaled, quantiles in µs (see
-/// [`WindowSnapshot`]).
-pub fn window_json(w: &WindowSnapshot) -> Json {
-    Json::obj([
-        ("seconds", Json::from(w.seconds)),
-        ("requests", Json::from(w.requests)),
-        ("errors", Json::from(w.errors)),
-        ("rps_milli", Json::from(w.rps_milli)),
-        ("error_rate_milli", Json::from(w.error_rate_milli)),
-        ("p50_us", Json::from(w.p50_us)),
-        ("p90_us", Json::from(w.p90_us)),
-        ("p99_us", Json::from(w.p99_us)),
-    ])
-}
-
-/// Render the occupied latency-bucket exemplars as
-/// `[{le_us, trace_id, dur_us}, ...]` (`/metrics` embeds this as
-/// `exemplars`; same `(trace, duration)` pairs the Prometheus rendering
-/// annotates its bucket lines with).
-fn exemplars_json(exemplars: &[Option<(String, u64)>]) -> Json {
-    Json::Array(
-        exemplars
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|(trace, dur)| (i, trace, dur)))
-            .map(|(i, trace, &dur)| {
-                let le = LATENCY_BUCKETS_US
-                    .get(i)
-                    .map_or_else(|| "inf".to_owned(), |b| b.to_string());
-                Json::obj([
-                    ("le_us", Json::from(le)),
-                    ("trace_id", Json::from(trace.as_str())),
-                    ("dur_us", Json::from(dur)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Render the vectorized-join counters (`/metrics` embeds this as `join`).
-pub fn join_json(j: &JoinSnapshot) -> Json {
-    Json::obj([
-        ("batches", Json::from(j.batches)),
-        ("rows_probed", Json::from(j.rows_probed)),
-        ("index_probes", Json::from(j.index_probes)),
-        ("hash_builds", Json::from(j.hash_builds)),
-        ("hash_build_rows", Json::from(j.hash_build_rows)),
-    ])
 }
 
 impl Metrics {
@@ -329,7 +164,7 @@ impl Metrics {
             admission_shed: AtomicU64::new(0),
             admission_timeouts: AtomicU64::new(0),
             admission_reaped: AtomicU64::new(0),
-            admission_queue_wait: Default::default(),
+            admission_queue_wait: Histogram::new(&LATENCY_BUCKETS_US),
             sessions_created: AtomicU64::new(0),
             sessions_deleted: AtomicU64::new(0),
             sessions_evicted: AtomicU64::new(0),
@@ -348,8 +183,11 @@ impl Metrics {
             pipeline_core_tuples_removed: AtomicU64::new(0),
             pipeline_stitched_routes: AtomicU64::new(0),
             pipeline_stitched_hops: AtomicU64::new(0),
-            latency: Default::default(),
-            phases: Default::default(),
+            latency: Histogram::new(&LATENCY_BUCKETS_US),
+            phases: Phase::ALL.map(|_| PhaseStats {
+                total_us: AtomicU64::new(0),
+                latency: Histogram::new(&LATENCY_BUCKETS_US),
+            }),
             window: WindowRing::new(window_seconds_from_env()),
             exemplars: Default::default(),
         }
@@ -372,8 +210,7 @@ impl Metrics {
         }
         .fetch_add(1, Relaxed);
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        let bucket = bucket_of(us);
-        self.latency[bucket].fetch_add(1, Relaxed);
+        let bucket = self.latency.record(us);
         self.window.record(status, us);
         if let Some(trace) = trace {
             // Never block the request path on a scrape holding the lock:
@@ -395,11 +232,6 @@ impl Metrics {
         }
     }
 
-    /// Aggregated view over the rolling traffic window.
-    pub fn window(&self) -> WindowSnapshot {
-        self.window.snapshot()
-    }
-
     /// Current latency-bucket exemplars: `(trace_id, dur_us)` per bucket
     /// (one entry per bound plus the unbounded tail), `None` where no
     /// traced request has landed yet.
@@ -416,36 +248,26 @@ impl Metrics {
 
     /// Record one sample of a work phase's wall time.
     pub fn record_phase(&self, phase: Phase, latency: Duration) {
-        self.phases[phase as usize].record(latency);
+        let stats = &self.phases[phase as usize];
+        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
+        stats.total_us.fetch_add(us, Relaxed);
+        stats.latency.record(us);
     }
 
     /// Record how long a connection waited in the admission queue before a
     /// worker popped it.
     pub fn record_queue_wait(&self, wait: Duration) {
-        let us = wait.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.admission_queue_wait[bucket_of(us)].fetch_add(1, Relaxed);
-    }
-
-    /// Snapshot of the queue-wait histogram (one count per latency bucket
-    /// plus the unbounded tail).
-    pub fn queue_wait_counts(&self) -> Vec<u64> {
         self.admission_queue_wait
-            .iter()
-            .map(|c| c.load(Relaxed))
-            .collect()
+            .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
-    /// The accounting of one phase (snapshot reads).
-    pub fn phase(&self, phase: Phase) -> &PhaseStats {
-        &self.phases[phase as usize]
-    }
-
-    /// [`Metrics::to_json`] plus the vectorized-join counter block, the
-    /// sharded session-store counter block and, when durability is enabled,
-    /// the `persistence` block (what `GET /metrics` actually serves). The
-    /// join counters are process-wide ([`routes_model::joinstats`]); the
-    /// caller passes an explicit snapshot so both renderings of one request
-    /// agree and tests stay deterministic.
+    /// The snapshot `GET /metrics` serves as JSON: every series of
+    /// `declare` at its JSON path. The join counters are process-wide
+    /// ([`routes_model::joinstats`]); the caller passes an explicit
+    /// snapshot so both renderings of one request agree and tests stay
+    /// deterministic. `threads` is the worker pool width used for parallel
+    /// chase / forest construction; `persist` is `None` without a data
+    /// directory (and then there is no `persistence` block).
     pub fn to_json_with_store(
         &self,
         store: &StoreSnapshot,
@@ -453,169 +275,47 @@ impl Metrics {
         join: &JoinSnapshot,
         threads: usize,
     ) -> Json {
-        let mut snapshot = self.to_json(store.live(), threads);
-        if let Json::Object(fields) = &mut snapshot {
-            fields.push(("join".to_owned(), join_json(join)));
-            fields.push(("session_store".to_owned(), store_json(store)));
-            if let Some(persist) = persist {
-                fields.push(("persistence".to_owned(), persist_json(persist)));
-            }
-        }
-        snapshot
-    }
-
-    /// Render the snapshot served by `GET /metrics`. `threads` is the worker
-    /// pool width used for parallel chase / forest construction.
-    pub fn to_json(&self, live_sessions: usize, threads: usize) -> Json {
-        let latency: Vec<u64> = self.latency.iter().map(|c| c.load(Relaxed)).collect();
-        let hist = histogram_json(&LATENCY_BUCKETS_US, &latency);
-        let phases = Json::Object(
-            Phase::ALL
-                .iter()
-                .map(|&p| (p.name().to_owned(), self.phases[p as usize].to_json()))
-                .collect(),
+        let mut root = Json::Object(Vec::with_capacity(32));
+        declare(
+            self,
+            store,
+            persist,
+            join,
+            threads,
+            &mut |s| match s.reading {
+                Reading::Value(v) => insert(&mut root, s.json, Json::from(v)),
+                Reading::Text(text) => insert(&mut root, s.json, Json::from(text)),
+                Reading::Histogram(h) => {
+                    let buckets = h.counts.iter().enumerate().map(|(i, &count)| {
+                        Json::obj([
+                            ("le_us", le_json(h.bounds, i)),
+                            ("count", Json::from(count)),
+                        ])
+                    });
+                    insert(&mut root, s.json, Json::Array(buckets.collect()));
+                    if let Some((path, sum)) = h.sum {
+                        insert(&mut root, path, Json::from(sum));
+                    }
+                    if let Some((path, exemplars)) = h.exemplars {
+                        let occupied = exemplars.iter().enumerate().filter_map(|(i, e)| {
+                            let (trace, dur) = e.as_ref()?;
+                            Some(Json::obj([
+                                ("le_us", le_json(h.bounds, i)),
+                                ("trace_id", Json::from(trace.as_str())),
+                                ("dur_us", Json::from(*dur)),
+                            ]))
+                        });
+                        insert(&mut root, path, Json::Array(occupied.collect()));
+                    }
+                }
+            },
         );
-        Json::obj([
-            ("version", Json::from(env!("CARGO_PKG_VERSION"))),
-            ("uptime_seconds", Json::from(self.uptime_seconds())),
-            ("threads", Json::from(threads)),
-            (
-                "requests_total",
-                Json::from(self.requests_total.load(Relaxed)),
-            ),
-            (
-                "responses_2xx",
-                Json::from(self.responses_2xx.load(Relaxed)),
-            ),
-            (
-                "responses_4xx",
-                Json::from(self.responses_4xx.load(Relaxed)),
-            ),
-            (
-                "responses_5xx",
-                Json::from(self.responses_5xx.load(Relaxed)),
-            ),
-            ("bad_requests", Json::from(self.bad_requests.load(Relaxed))),
-            (
-                "connections_accepted",
-                Json::from(self.connections_accepted.load(Relaxed)),
-            ),
-            ("live_sessions", Json::from(live_sessions)),
-            (
-                "sessions_created",
-                Json::from(self.sessions_created.load(Relaxed)),
-            ),
-            (
-                "sessions_deleted",
-                Json::from(self.sessions_deleted.load(Relaxed)),
-            ),
-            (
-                "sessions_evicted",
-                Json::from(self.sessions_evicted.load(Relaxed)),
-            ),
-            (
-                "one_routes_computed",
-                Json::from(self.one_routes_computed.load(Relaxed)),
-            ),
-            (
-                "all_routes_computed",
-                Json::from(self.all_routes_computed.load(Relaxed)),
-            ),
-            (
-                "forest_cache_hits",
-                Json::from(self.forest_cache_hits.load(Relaxed)),
-            ),
-            (
-                "forest_cache_misses",
-                Json::from(self.forest_cache_misses.load(Relaxed)),
-            ),
-            (
-                "edits",
-                Json::obj([
-                    ("applied", Json::from(self.edits_applied.load(Relaxed))),
-                    ("rejected", Json::from(self.edits_rejected.load(Relaxed))),
-                    (
-                        "ops_applied",
-                        Json::from(self.edit_ops_applied.load(Relaxed)),
-                    ),
-                    (
-                        "forests_kept",
-                        Json::from(self.edit_forests_kept.load(Relaxed)),
-                    ),
-                    (
-                        "forests_invalidated",
-                        Json::from(self.edit_forests_invalidated.load(Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "pipeline",
-                Json::obj([
-                    (
-                        "sessions_created",
-                        Json::from(self.pipeline_sessions_created.load(Relaxed)),
-                    ),
-                    (
-                        "stage_chases",
-                        Json::from(self.pipeline_stage_chases.load(Relaxed)),
-                    ),
-                    (
-                        "core_runs",
-                        Json::from(self.pipeline_core_runs.load(Relaxed)),
-                    ),
-                    (
-                        "core_tuples_removed",
-                        Json::from(self.pipeline_core_tuples_removed.load(Relaxed)),
-                    ),
-                    (
-                        "stitched_routes",
-                        Json::from(self.pipeline_stitched_routes.load(Relaxed)),
-                    ),
-                    (
-                        "stitched_hops",
-                        Json::from(self.pipeline_stitched_hops.load(Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "admission",
-                Json::obj([
-                    (
-                        "queue_capacity",
-                        Json::from(self.admission_queue_capacity.load(Relaxed)),
-                    ),
-                    (
-                        "queue_depth",
-                        Json::from(self.admission_queue_depth.load(Relaxed)),
-                    ),
-                    (
-                        "admitted",
-                        Json::from(self.admission_admitted.load(Relaxed)),
-                    ),
-                    ("shed", Json::from(self.admission_shed.load(Relaxed))),
-                    (
-                        "timeouts",
-                        Json::from(self.admission_timeouts.load(Relaxed)),
-                    ),
-                    ("reaped", Json::from(self.admission_reaped.load(Relaxed))),
-                    (
-                        "queue_wait_us",
-                        histogram_json(&LATENCY_BUCKETS_US, &self.queue_wait_counts()),
-                    ),
-                ]),
-            ),
-            ("latency_us", hist),
-            ("exemplars", exemplars_json(&self.exemplars())),
-            ("window", window_json(&self.window())),
-            ("phases", phases),
-        ])
+        root
     }
 
-    /// Render the same snapshot [`Metrics::to_json_with_store`] serves, in
-    /// Prometheus text exposition format. Every JSON counter, gauge, and
-    /// histogram has a named (and, for shards and phases, labeled) family
-    /// here; the reconciliation test in `tests/prometheus.rs` holds the two
-    /// renderings equal field for field.
+    /// The same snapshot [`Metrics::to_json_with_store`] serves, in
+    /// Prometheus text exposition format: every series of `declare` that
+    /// names a family, each family announced once before its samples.
     pub fn to_prometheus(
         &self,
         store: &StoreSnapshot,
@@ -623,586 +323,803 @@ impl Metrics {
         join: &JoinSnapshot,
         threads: usize,
     ) -> String {
-        use routes_obs::PromText;
         let mut w = PromText::new();
-
-        w.family(
-            "routes_build_info",
-            "gauge",
-            "Build metadata; the value is always 1.",
-        );
-        w.sample(
-            "routes_build_info",
-            &[("version", env!("CARGO_PKG_VERSION"))],
-            1,
-        );
-        w.family(
-            "routes_uptime_seconds",
-            "gauge",
-            "Seconds since the serving process started.",
-        );
-        w.sample("routes_uptime_seconds", &[], self.uptime_seconds());
-        w.family(
-            "routes_threads",
-            "gauge",
-            "Worker pool width for parallel chase and forest construction.",
-        );
-        w.sample("routes_threads", &[], threads as u64);
-
-        w.family(
-            "routes_requests_total",
-            "counter",
-            "Requests handled (any status).",
-        );
-        w.sample(
-            "routes_requests_total",
-            &[],
-            self.requests_total.load(Relaxed),
-        );
-        w.family(
-            "routes_responses_total",
-            "counter",
-            "Responses by status class.",
-        );
-        for (class, counter) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            w.sample(
-                "routes_responses_total",
-                &[("class", class)],
-                counter.load(Relaxed),
-            );
-        }
-        w.family(
-            "routes_bad_requests_total",
-            "counter",
-            "Requests rejected before dispatch (parse errors, limits).",
-        );
-        w.sample(
-            "routes_bad_requests_total",
-            &[],
-            self.bad_requests.load(Relaxed),
-        );
-        w.family(
-            "routes_connections_accepted_total",
-            "counter",
-            "TCP connections accepted.",
-        );
-        w.sample(
-            "routes_connections_accepted_total",
-            &[],
-            self.connections_accepted.load(Relaxed),
-        );
-
-        w.family(
-            "routes_admission_queue_capacity",
-            "gauge",
-            "Bound of the acceptor's connection queue (--max-queue).",
-        );
-        w.sample(
-            "routes_admission_queue_capacity",
-            &[],
-            self.admission_queue_capacity.load(Relaxed),
-        );
-        w.family(
-            "routes_admission_queue_depth",
-            "gauge",
-            "Connections currently waiting in the admission queue.",
-        );
-        w.sample(
-            "routes_admission_queue_depth",
-            &[],
-            self.admission_queue_depth.load(Relaxed),
-        );
-        for (name, help, counter) in [
-            (
-                "routes_admission_admitted_total",
-                "Connections admitted into the acceptor's queue.",
-                &self.admission_admitted,
-            ),
-            (
-                "routes_admission_shed_total",
-                "Connections shed at the door with 429 Too Many Requests.",
-                &self.admission_shed,
-            ),
-            (
-                "routes_admission_timeouts_total",
-                "Requests answered 408 after the request deadline expired.",
-                &self.admission_timeouts,
-            ),
-            (
-                "routes_admission_reaped_total",
-                "Connections force-closed by a deadline (stalled readers/writers).",
-                &self.admission_reaped,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], counter.load(Relaxed));
-        }
-        w.family(
-            "routes_admission_queue_wait_us",
-            "histogram",
-            "Time connections spent queued before a worker popped them, in microseconds.",
-        );
-        w.histogram(
-            "routes_admission_queue_wait_us",
-            &[],
-            &LATENCY_BUCKETS_US,
-            &self.queue_wait_counts(),
-            None,
-        );
-
-        w.family(
-            "routes_live_sessions",
-            "gauge",
-            "Sessions currently resident in the store.",
-        );
-        w.sample("routes_live_sessions", &[], store.live() as u64);
-        for (name, help, counter) in [
-            (
-                "routes_sessions_created_total",
-                "Sessions created.",
-                &self.sessions_created,
-            ),
-            (
-                "routes_sessions_deleted_total",
-                "Sessions deleted by clients.",
-                &self.sessions_deleted,
-            ),
-            (
-                "routes_sessions_evicted_total",
-                "Sessions evicted at capacity.",
-                &self.sessions_evicted,
-            ),
-            (
-                "routes_one_routes_computed_total",
-                "ComputeOneRoute invocations.",
-                &self.one_routes_computed,
-            ),
-            (
-                "routes_all_routes_computed_total",
-                "ComputeAllRoutes invocations.",
-                &self.all_routes_computed,
-            ),
-            (
-                "routes_forest_cache_hits_total",
-                "Route-forest memo hits.",
-                &self.forest_cache_hits,
-            ),
-            (
-                "routes_forest_cache_misses_total",
-                "Route-forest memo misses (forest built).",
-                &self.forest_cache_misses,
-            ),
-            (
-                "routes_edits_applied_total",
-                "Edit batches applied.",
-                &self.edits_applied,
-            ),
-            (
-                "routes_edits_rejected_total",
-                "Edit batches rejected by validation.",
-                &self.edits_rejected,
-            ),
-            (
-                "routes_edit_ops_applied_total",
-                "Individual edit ops applied (across batches).",
-                &self.edit_ops_applied,
-            ),
-            (
-                "routes_edit_forests_kept_total",
-                "Cached route forests surviving an edit batch.",
-                &self.edit_forests_kept,
-            ),
-            (
-                "routes_edit_forests_invalidated_total",
-                "Cached route forests invalidated by an edit batch.",
-                &self.edit_forests_invalidated,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], counter.load(Relaxed));
-        }
-
-        for (name, help, counter) in [
-            (
-                "routes_pipeline_sessions_created_total",
-                "Multi-stage pipeline sessions created.",
-                &self.pipeline_sessions_created,
-            ),
-            (
-                "routes_pipeline_stage_chases_total",
-                "Stage chases run while creating pipeline sessions.",
-                &self.pipeline_stage_chases,
-            ),
-            (
-                "routes_pipeline_core_runs_total",
-                "Core minimization passes run on chased stage instances.",
-                &self.pipeline_core_runs,
-            ),
-            (
-                "routes_pipeline_core_tuples_removed_total",
-                "Tuples removed by core minimization.",
-                &self.pipeline_core_tuples_removed,
-            ),
-            (
-                "routes_pipeline_stitched_routes_total",
-                "Stitched end-to-end routes answered.",
-                &self.pipeline_stitched_routes,
-            ),
-            (
-                "routes_pipeline_stitched_hops_total",
-                "Per-hop routes inside answered stitched routes.",
-                &self.pipeline_stitched_hops,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], counter.load(Relaxed));
-        }
-
-        for (name, help, value) in [
-            (
-                "routes_join_batches_total",
-                "Binding batches pushed through the vectorized join executor.",
-                join.batches,
-            ),
-            (
-                "routes_join_rows_probed_total",
-                "Candidate rows examined while extending binding batches.",
-                join.rows_probed,
-            ),
-            (
-                "routes_join_index_probes_total",
-                "Hash-index probe operations issued by the batch executor.",
-                join.index_probes,
-            ),
-            (
-                "routes_join_hash_builds_total",
-                "Hash-index builds, including incremental catch-ups.",
-                join.hash_builds,
-            ),
-            (
-                "routes_join_hash_build_rows_total",
-                "Rows inserted into hash indexes by builds and catch-ups.",
-                join.hash_build_rows,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], value);
-        }
-
-        let latency: Vec<u64> = self.latency.iter().map(|c| c.load(Relaxed)).collect();
-        w.family(
-            "routes_request_latency_us",
-            "histogram",
-            "Whole-request latency in microseconds.",
-        );
-        w.histogram_with_exemplars(
-            "routes_request_latency_us",
-            &[],
-            &LATENCY_BUCKETS_US,
-            &latency,
-            None,
-            &self.exemplars(),
-        );
-
-        let window = self.window();
-        for (name, help, value) in [
-            (
-                "routes_window_seconds",
-                "Length of the rolling traffic window, in seconds.",
-                window.seconds as u64,
-            ),
-            (
-                "routes_window_requests",
-                "Requests recorded in the rolling window.",
-                window.requests,
-            ),
-            (
-                "routes_window_errors",
-                "5xx responses recorded in the rolling window.",
-                window.errors,
-            ),
-            (
-                "routes_window_rps_milli",
-                "Requests per second over the window, times 1000.",
-                window.rps_milli,
-            ),
-            (
-                "routes_window_error_rate_milli",
-                "Errors per request over the window, times 1000.",
-                window.error_rate_milli,
-            ),
-            (
-                "routes_window_latency_p50_us",
-                "Interpolated p50 request latency over the window, in microseconds.",
-                window.p50_us,
-            ),
-            (
-                "routes_window_latency_p90_us",
-                "Interpolated p90 request latency over the window, in microseconds.",
-                window.p90_us,
-            ),
-            (
-                "routes_window_latency_p99_us",
-                "Interpolated p99 request latency over the window, in microseconds.",
-                window.p99_us,
-            ),
-        ] {
-            w.family(name, "gauge", help);
-            w.sample(name, &[], value);
-        }
-        w.family(
-            "routes_phase_latency_us",
-            "histogram",
-            "Per-phase wall time in microseconds (chase, forest, route, print, edit).",
-        );
-        for p in Phase::ALL {
-            let stats = &self.phases[p as usize];
-            w.histogram(
-                "routes_phase_latency_us",
-                &[("phase", p.name())],
-                &LATENCY_BUCKETS_US,
-                &stats.latency_counts(),
-                Some(stats.total_us.load(Relaxed)),
-            );
-        }
-
-        w.family(
-            "routes_session_store_capacity",
-            "gauge",
-            "Session-store capacity (sessions).",
-        );
-        w.sample("routes_session_store_capacity", &[], store.capacity as u64);
-        w.family(
-            "routes_session_store_shards",
-            "gauge",
-            "Session-store shard count.",
-        );
-        w.sample(
-            "routes_session_store_shards",
-            &[],
-            store.shards.len() as u64,
-        );
-        for (name, help, value) in [
-            (
-                "routes_session_store_hits_total",
-                "Store-wide lookup hits.",
-                store.hits(),
-            ),
-            (
-                "routes_session_store_misses_total",
-                "Store-wide lookup misses.",
-                store.misses(),
-            ),
-            (
-                "routes_session_store_inserts_total",
-                "Store-wide inserts.",
-                store.inserts(),
-            ),
-            (
-                "routes_session_store_removes_total",
-                "Store-wide removes.",
-                store.removes(),
-            ),
-            (
-                "routes_session_store_evictions_total",
-                "Store-wide evictions.",
-                store.evictions(),
-            ),
-            (
-                "routes_session_store_evict_scan_steps_total",
-                "Entries examined while hunting eviction victims.",
-                store.evict_scan_steps(),
-            ),
-            (
-                "routes_session_store_write_locks_total",
-                "Store-wide shard write-lock acquisitions.",
-                store.write_locks(),
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], value);
-        }
-
-        w.family(
-            "routes_session_shard_sessions",
-            "gauge",
-            "Sessions resident per shard.",
-        );
-        let shard_labels: Vec<String> = (0..store.shards.len()).map(|i| i.to_string()).collect();
-        for (i, shard) in store.shards.iter().enumerate() {
-            w.sample(
-                "routes_session_shard_sessions",
-                &[("shard", &shard_labels[i])],
-                shard.sessions as u64,
-            );
-        }
-        w.family(
-            "routes_session_shard_capacity",
-            "gauge",
-            "Per-shard session capacity.",
-        );
-        for (i, shard) in store.shards.iter().enumerate() {
-            w.sample(
-                "routes_session_shard_capacity",
-                &[("shard", &shard_labels[i])],
-                shard.capacity as u64,
-            );
-        }
-        type ShardField = fn(&ShardSnapshot) -> u64;
-        let shard_counters: [(&str, &str, ShardField); 8] = [
-            (
-                "routes_session_shard_hits_total",
-                "Per-shard lookup hits.",
-                |s| s.hits,
-            ),
-            (
-                "routes_session_shard_misses_total",
-                "Per-shard lookup misses.",
-                |s| s.misses,
-            ),
-            (
-                "routes_session_shard_inserts_total",
-                "Per-shard inserts.",
-                |s| s.inserts,
-            ),
-            (
-                "routes_session_shard_removes_total",
-                "Per-shard removes.",
-                |s| s.removes,
-            ),
-            (
-                "routes_session_shard_evictions_total",
-                "Per-shard evictions.",
-                |s| s.evictions,
-            ),
-            (
-                "routes_session_shard_demotions_total",
-                "Segmented-LRU demotions from protected to probation.",
-                |s| s.demotions,
-            ),
-            (
-                "routes_session_shard_evict_scan_steps_total",
-                "Per-shard entries examined while hunting eviction victims.",
-                |s| s.evict_scan_steps,
-            ),
-            (
-                "routes_session_shard_write_locks_total",
-                "Per-shard write-lock acquisitions.",
-                |s| s.write_locks,
-            ),
-        ];
-        for (name, help, field) in shard_counters {
-            w.family(name, "counter", help);
-            for (i, shard) in store.shards.iter().enumerate() {
-                w.sample(name, &[("shard", &shard_labels[i])], field(shard));
+        let mut announced = "";
+        declare(self, store, persist, join, threads, &mut |s| {
+            let Some(family) = s.family else { return };
+            if family.name != announced {
+                w.family(family.name, family.kind, family.help);
+                announced = family.name;
             }
+            match s.reading {
+                Reading::Value(v) => w.sample(family.name, s.labels, v),
+                Reading::Text(_) => w.sample(family.name, s.labels, 1),
+                Reading::Histogram(h) => w.histogram(
+                    family.name,
+                    s.labels,
+                    h.bounds,
+                    h.counts,
+                    h.sum.map(|(_, sum)| sum),
+                    h.exemplars.map_or(&[], |(_, e)| e),
+                ),
+            }
+        });
+        w.finish()
+    }
+}
+
+/// One step of a series' JSON path from the root of the `/metrics` object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    /// An object field.
+    Name(&'static str),
+    /// An array element (a shard's position in `session_store.shards`).
+    Index(usize),
+}
+
+/// A Prometheus family, announced once (`# HELP`, `# TYPE`) before its
+/// samples.
+#[derive(Debug, Clone, Copy)]
+struct Family {
+    name: &'static str,
+    /// `counter`, `gauge`, or `histogram`.
+    kind: &'static str,
+    help: &'static str,
+}
+
+/// What a series reads at scrape time.
+enum Reading<'a> {
+    /// A counter or gauge value.
+    Value(u64),
+    /// Build metadata: JSON renders the text, the sample reads 1 and
+    /// carries the text as a label.
+    Text(&'a str),
+    Histogram(Hist<'a>),
+}
+
+/// Per-bucket (non-cumulative) counts over `bounds` plus the unbounded
+/// bucket, with the optional `_sum` and bucket exemplars; each of those
+/// names the JSON path it renders at.
+struct Hist<'a> {
+    bounds: &'static [u64],
+    counts: &'a [u64],
+    sum: Option<(&'a [Key], u64)>,
+    exemplars: Option<(&'a [Key], Exemplars<'a>)>,
+}
+
+/// Per-bucket `(trace_id, dur_us)` exemplars, `None` where unoccupied.
+type Exemplars<'a> = &'a [Option<(String, u64)>];
+
+/// One declared series.
+struct Series<'a> {
+    json: &'a [Key],
+    /// `None` for the two JSON-only entries: `session_store.live_sessions`
+    /// (the top-level gauge again) and each phase's `count` (its
+    /// histogram's `_count`).
+    family: Option<Family>,
+    labels: &'a [(&'a str, &'a str)],
+    reading: Reading<'a>,
+}
+
+impl<'a> Series<'a> {
+    fn new(json: &'a [Key], family: Option<Family>, reading: Reading<'a>) -> Series<'a> {
+        Series {
+            json,
+            family,
+            labels: &[],
+            reading,
         }
-        w.family(
-            "routes_session_shard_lock_wait_us",
-            "histogram",
-            "Shard lock-acquisition wait in microseconds, by shard and mode.",
+    }
+
+    fn labeled(self, labels: &'a [(&'a str, &'a str)]) -> Series<'a> {
+        Series { labels, ..self }
+    }
+}
+
+fn family(kind: &'static str, name: &'static str, help: &'static str) -> Option<Family> {
+    Some(Family { name, kind, help })
+}
+
+/// [`counter`] or [`gauge`] (the per-shard table picks one).
+type NewSeries = for<'a> fn(&'a [Key], &'static str, &'static str, u64) -> Series<'a>;
+
+fn counter<'a>(json: &'a [Key], name: &'static str, help: &'static str, value: u64) -> Series<'a> {
+    Series::new(json, family("counter", name, help), Reading::Value(value))
+}
+
+fn gauge<'a>(json: &'a [Key], name: &'static str, help: &'static str, value: u64) -> Series<'a> {
+    Series::new(json, family("gauge", name, help), Reading::Value(value))
+}
+
+fn histogram<'a>(
+    json: &'a [Key],
+    name: &'static str,
+    help: &'static str,
+    bounds: &'static [u64],
+    counts: &'a [u64],
+) -> Series<'a> {
+    let (sum, exemplars) = (None, None);
+    let hist = Hist {
+        bounds,
+        counts,
+        sum,
+        exemplars,
+    };
+    Series::new(
+        json,
+        family("histogram", name, help),
+        Reading::Histogram(hist),
+    )
+}
+
+/// One of the two JSON-only entries (see [`Series::family`]).
+fn json_only(json: &[Key], value: u64) -> Series<'_> {
+    Series::new(json, None, Reading::Value(value))
+}
+
+/// The `/metrics` declaration list: every series, in exposition order,
+/// each emitted once with its JSON path, family, labels, and reading.
+/// [`Metrics::to_json_with_store`] and [`Metrics::to_prometheus`] are the
+/// two walkers; the unit tests below hold both renderings to this list.
+fn declare(
+    m: &Metrics,
+    store: &StoreSnapshot,
+    persist: Option<&PersistSnapshot>,
+    join: &JoinSnapshot,
+    threads: usize,
+    emit: &mut impl FnMut(Series<'_>),
+) {
+    use Key::{Index as I, Name as N};
+    let load = |c: &AtomicU64| c.load(Relaxed);
+
+    let version = env!("CARGO_PKG_VERSION");
+    emit(
+        Series::new(
+            &[N("version")],
+            family(
+                "gauge",
+                "routes_build_info",
+                "Build metadata; the value is always 1.",
+            ),
+            Reading::Text(version),
+        )
+        .labeled(&[("version", version)]),
+    );
+    emit(gauge(
+        &[N("uptime_seconds")],
+        "routes_uptime_seconds",
+        "Seconds since the serving process started.",
+        m.uptime_seconds(),
+    ));
+    emit(gauge(
+        &[N("threads")],
+        "routes_threads",
+        "Worker pool width for parallel chase and forest construction.",
+        threads as u64,
+    ));
+    emit(counter(
+        &[N("requests_total")],
+        "routes_requests_total",
+        "Requests handled (any status).",
+        load(&m.requests_total),
+    ));
+    for (key, class, responses) in [
+        ("responses_2xx", "2xx", &m.responses_2xx),
+        ("responses_4xx", "4xx", &m.responses_4xx),
+        ("responses_5xx", "5xx", &m.responses_5xx),
+    ] {
+        emit(
+            counter(
+                &[N(key)],
+                "routes_responses_total",
+                "Responses by status class.",
+                load(responses),
+            )
+            .labeled(&[("class", class)]),
         );
+    }
+    emit(counter(
+        &[N("bad_requests")],
+        "routes_bad_requests_total",
+        "Requests rejected before dispatch (parse errors, limits).",
+        load(&m.bad_requests),
+    ));
+    emit(counter(
+        &[N("connections_accepted")],
+        "routes_connections_accepted_total",
+        "TCP connections accepted.",
+        load(&m.connections_accepted),
+    ));
+
+    emit(gauge(
+        &[N("admission"), N("queue_capacity")],
+        "routes_admission_queue_capacity",
+        "Bound of the acceptor's connection queue (--max-queue).",
+        load(&m.admission_queue_capacity),
+    ));
+    emit(gauge(
+        &[N("admission"), N("queue_depth")],
+        "routes_admission_queue_depth",
+        "Connections currently waiting in the admission queue.",
+        load(&m.admission_queue_depth),
+    ));
+    emit(counter(
+        &[N("admission"), N("admitted")],
+        "routes_admission_admitted_total",
+        "Connections admitted into the acceptor's queue.",
+        load(&m.admission_admitted),
+    ));
+    emit(counter(
+        &[N("admission"), N("shed")],
+        "routes_admission_shed_total",
+        "Connections shed at the door with 429 Too Many Requests.",
+        load(&m.admission_shed),
+    ));
+    emit(counter(
+        &[N("admission"), N("timeouts")],
+        "routes_admission_timeouts_total",
+        "Requests answered 408 after the request deadline expired.",
+        load(&m.admission_timeouts),
+    ));
+    emit(counter(
+        &[N("admission"), N("reaped")],
+        "routes_admission_reaped_total",
+        "Connections force-closed by a deadline (stalled readers/writers).",
+        load(&m.admission_reaped),
+    ));
+    let queue_wait: Vec<u64> = m.admission_queue_wait.counts().collect();
+    emit(histogram(
+        &[N("admission"), N("queue_wait_us")],
+        "routes_admission_queue_wait_us",
+        "Time connections spent queued before a worker popped them, in microseconds.",
+        &LATENCY_BUCKETS_US,
+        &queue_wait,
+    ));
+
+    emit(gauge(
+        &[N("live_sessions")],
+        "routes_live_sessions",
+        "Sessions currently resident in the store.",
+        store.live() as u64,
+    ));
+    emit(counter(
+        &[N("sessions_created")],
+        "routes_sessions_created_total",
+        "Sessions created.",
+        load(&m.sessions_created),
+    ));
+    emit(counter(
+        &[N("sessions_deleted")],
+        "routes_sessions_deleted_total",
+        "Sessions deleted by clients.",
+        load(&m.sessions_deleted),
+    ));
+    emit(counter(
+        &[N("sessions_evicted")],
+        "routes_sessions_evicted_total",
+        "Sessions evicted at capacity.",
+        load(&m.sessions_evicted),
+    ));
+    emit(counter(
+        &[N("one_routes_computed")],
+        "routes_one_routes_computed_total",
+        "ComputeOneRoute invocations.",
+        load(&m.one_routes_computed),
+    ));
+    emit(counter(
+        &[N("all_routes_computed")],
+        "routes_all_routes_computed_total",
+        "ComputeAllRoutes invocations.",
+        load(&m.all_routes_computed),
+    ));
+    emit(counter(
+        &[N("forest_cache_hits")],
+        "routes_forest_cache_hits_total",
+        "Route-forest memo hits.",
+        load(&m.forest_cache_hits),
+    ));
+    emit(counter(
+        &[N("forest_cache_misses")],
+        "routes_forest_cache_misses_total",
+        "Route-forest memo misses (forest built).",
+        load(&m.forest_cache_misses),
+    ));
+    emit(counter(
+        &[N("edits"), N("applied")],
+        "routes_edits_applied_total",
+        "Edit batches applied.",
+        load(&m.edits_applied),
+    ));
+    emit(counter(
+        &[N("edits"), N("rejected")],
+        "routes_edits_rejected_total",
+        "Edit batches rejected by validation.",
+        load(&m.edits_rejected),
+    ));
+    emit(counter(
+        &[N("edits"), N("ops_applied")],
+        "routes_edit_ops_applied_total",
+        "Individual edit ops applied (across batches).",
+        load(&m.edit_ops_applied),
+    ));
+    emit(counter(
+        &[N("edits"), N("forests_kept")],
+        "routes_edit_forests_kept_total",
+        "Cached route forests surviving an edit batch.",
+        load(&m.edit_forests_kept),
+    ));
+    emit(counter(
+        &[N("edits"), N("forests_invalidated")],
+        "routes_edit_forests_invalidated_total",
+        "Cached route forests invalidated by an edit batch.",
+        load(&m.edit_forests_invalidated),
+    ));
+
+    emit(counter(
+        &[N("pipeline"), N("sessions_created")],
+        "routes_pipeline_sessions_created_total",
+        "Multi-stage pipeline sessions created.",
+        load(&m.pipeline_sessions_created),
+    ));
+    emit(counter(
+        &[N("pipeline"), N("stage_chases")],
+        "routes_pipeline_stage_chases_total",
+        "Stage chases run while creating pipeline sessions.",
+        load(&m.pipeline_stage_chases),
+    ));
+    emit(counter(
+        &[N("pipeline"), N("core_runs")],
+        "routes_pipeline_core_runs_total",
+        "Core minimization passes run on chased stage instances.",
+        load(&m.pipeline_core_runs),
+    ));
+    emit(counter(
+        &[N("pipeline"), N("core_tuples_removed")],
+        "routes_pipeline_core_tuples_removed_total",
+        "Tuples removed by core minimization.",
+        load(&m.pipeline_core_tuples_removed),
+    ));
+    emit(counter(
+        &[N("pipeline"), N("stitched_routes")],
+        "routes_pipeline_stitched_routes_total",
+        "Stitched end-to-end routes answered.",
+        load(&m.pipeline_stitched_routes),
+    ));
+    emit(counter(
+        &[N("pipeline"), N("stitched_hops")],
+        "routes_pipeline_stitched_hops_total",
+        "Per-hop routes inside answered stitched routes.",
+        load(&m.pipeline_stitched_hops),
+    ));
+
+    emit(counter(
+        &[N("join"), N("batches")],
+        "routes_join_batches_total",
+        "Binding batches pushed through the vectorized join executor.",
+        join.batches,
+    ));
+    emit(counter(
+        &[N("join"), N("rows_probed")],
+        "routes_join_rows_probed_total",
+        "Candidate rows examined while extending binding batches.",
+        join.rows_probed,
+    ));
+    emit(counter(
+        &[N("join"), N("index_probes")],
+        "routes_join_index_probes_total",
+        "Hash-index probe operations issued by the batch executor.",
+        join.index_probes,
+    ));
+    emit(counter(
+        &[N("join"), N("hash_builds")],
+        "routes_join_hash_builds_total",
+        "Hash-index builds, including incremental catch-ups.",
+        join.hash_builds,
+    ));
+    emit(counter(
+        &[N("join"), N("hash_build_rows")],
+        "routes_join_hash_build_rows_total",
+        "Rows inserted into hash indexes by builds and catch-ups.",
+        join.hash_build_rows,
+    ));
+
+    let latency: Vec<u64> = m.latency.counts().collect();
+    let exemplars = m.exemplars();
+    let hist = Hist {
+        bounds: &LATENCY_BUCKETS_US,
+        counts: &latency,
+        sum: None,
+        exemplars: Some((&[N("exemplars")], &exemplars)),
+    };
+    emit(Series::new(
+        &[N("latency_us")],
+        family(
+            "histogram",
+            "routes_request_latency_us",
+            "Whole-request latency in microseconds.",
+        ),
+        Reading::Histogram(hist),
+    ));
+
+    let window = m.window.snapshot();
+    emit(gauge(
+        &[N("window"), N("seconds")],
+        "routes_window_seconds",
+        "Length of the rolling traffic window, in seconds.",
+        window.seconds as u64,
+    ));
+    emit(gauge(
+        &[N("window"), N("requests")],
+        "routes_window_requests",
+        "Requests recorded in the rolling window.",
+        window.requests,
+    ));
+    emit(gauge(
+        &[N("window"), N("errors")],
+        "routes_window_errors",
+        "5xx responses recorded in the rolling window.",
+        window.errors,
+    ));
+    emit(gauge(
+        &[N("window"), N("rps_milli")],
+        "routes_window_rps_milli",
+        "Requests per second over the window, times 1000.",
+        window.rps_milli,
+    ));
+    emit(gauge(
+        &[N("window"), N("error_rate_milli")],
+        "routes_window_error_rate_milli",
+        "Errors per request over the window, times 1000.",
+        window.error_rate_milli,
+    ));
+    emit(gauge(
+        &[N("window"), N("p50_us")],
+        "routes_window_latency_p50_us",
+        "Interpolated p50 request latency over the window, in microseconds.",
+        window.p50_us,
+    ));
+    emit(gauge(
+        &[N("window"), N("p90_us")],
+        "routes_window_latency_p90_us",
+        "Interpolated p90 request latency over the window, in microseconds.",
+        window.p90_us,
+    ));
+    emit(gauge(
+        &[N("window"), N("p99_us")],
+        "routes_window_latency_p99_us",
+        "Interpolated p99 request latency over the window, in microseconds.",
+        window.p99_us,
+    ));
+
+    for p in Phase::ALL {
+        let stats = &m.phases[p as usize];
+        let counts: Vec<u64> = stats.latency.counts().collect();
+        let hist = Hist {
+            bounds: &LATENCY_BUCKETS_US,
+            counts: &counts,
+            sum: Some((
+                &[N("phases"), N(p.name()), N("total_us")],
+                load(&stats.total_us),
+            )),
+            exemplars: None,
+        };
+        emit(
+            Series::new(
+                &[N("phases"), N(p.name()), N("latency_us")],
+                family(
+                    "histogram",
+                    "routes_phase_latency_us",
+                    "Per-phase wall time in microseconds (chase, forest, route, print, edit).",
+                ),
+                Reading::Histogram(hist),
+            )
+            .labeled(&[("phase", p.name())]),
+        );
+        emit(json_only(
+            &[N("phases"), N(p.name()), N("count")],
+            counts.iter().sum(),
+        ));
+    }
+
+    emit(gauge(
+        &[N("session_store"), N("capacity")],
+        "routes_session_store_capacity",
+        "Session-store capacity (sessions).",
+        store.capacity as u64,
+    ));
+    emit(gauge(
+        &[N("session_store"), N("shard_count")],
+        "routes_session_store_shards",
+        "Session-store shard count.",
+        store.shards.len() as u64,
+    ));
+    emit(json_only(
+        &[N("session_store"), N("live_sessions")],
+        store.live() as u64,
+    ));
+    emit(counter(
+        &[N("session_store"), N("hits")],
+        "routes_session_store_hits_total",
+        "Store-wide lookup hits.",
+        store.hits(),
+    ));
+    emit(counter(
+        &[N("session_store"), N("misses")],
+        "routes_session_store_misses_total",
+        "Store-wide lookup misses.",
+        store.misses(),
+    ));
+    emit(counter(
+        &[N("session_store"), N("inserts")],
+        "routes_session_store_inserts_total",
+        "Store-wide inserts.",
+        store.inserts(),
+    ));
+    emit(counter(
+        &[N("session_store"), N("removes")],
+        "routes_session_store_removes_total",
+        "Store-wide removes.",
+        store.removes(),
+    ));
+    emit(counter(
+        &[N("session_store"), N("evictions")],
+        "routes_session_store_evictions_total",
+        "Store-wide evictions.",
+        store.evictions(),
+    ));
+    emit(counter(
+        &[N("session_store"), N("evict_scan_steps")],
+        "routes_session_store_evict_scan_steps_total",
+        "Entries examined while hunting eviction victims.",
+        store.evict_scan_steps(),
+    ));
+    emit(counter(
+        &[N("session_store"), N("write_locks")],
+        "routes_session_store_write_locks_total",
+        "Store-wide shard write-lock acquisitions.",
+        store.write_locks(),
+    ));
+
+    let shard_labels: Vec<String> = (0..store.shards.len()).map(|i| i.to_string()).collect();
+    type ShardField = fn(&ShardSnapshot) -> u64;
+    let per_shard: [(&str, NewSeries, &str, &str, ShardField); 10] = [
+        (
+            "sessions",
+            gauge,
+            "routes_session_shard_sessions",
+            "Sessions resident per shard.",
+            |s| s.sessions as u64,
+        ),
+        (
+            "capacity",
+            gauge,
+            "routes_session_shard_capacity",
+            "Per-shard session capacity.",
+            |s| s.capacity as u64,
+        ),
+        (
+            "hits",
+            counter,
+            "routes_session_shard_hits_total",
+            "Per-shard lookup hits.",
+            |s| s.hits,
+        ),
+        (
+            "misses",
+            counter,
+            "routes_session_shard_misses_total",
+            "Per-shard lookup misses.",
+            |s| s.misses,
+        ),
+        (
+            "inserts",
+            counter,
+            "routes_session_shard_inserts_total",
+            "Per-shard inserts.",
+            |s| s.inserts,
+        ),
+        (
+            "removes",
+            counter,
+            "routes_session_shard_removes_total",
+            "Per-shard removes.",
+            |s| s.removes,
+        ),
+        (
+            "evictions",
+            counter,
+            "routes_session_shard_evictions_total",
+            "Per-shard evictions.",
+            |s| s.evictions,
+        ),
+        (
+            "demotions",
+            counter,
+            "routes_session_shard_demotions_total",
+            "Segmented-LRU demotions from protected to probation.",
+            |s| s.demotions,
+        ),
+        (
+            "evict_scan_steps",
+            counter,
+            "routes_session_shard_evict_scan_steps_total",
+            "Per-shard entries examined while hunting eviction victims.",
+            |s| s.evict_scan_steps,
+        ),
+        (
+            "write_locks",
+            counter,
+            "routes_session_shard_write_locks_total",
+            "Per-shard write-lock acquisitions.",
+            |s| s.write_locks,
+        ),
+    ];
+    for (key, new, name, help, read) in per_shard {
         for (i, shard) in store.shards.iter().enumerate() {
-            for (mode, counts) in [
-                ("read", &shard.lock_wait_read_us),
-                ("write", &shard.lock_wait_write_us),
-            ] {
-                w.histogram(
+            let json = [N("session_store"), N("shards"), I(i), N(key)];
+            let labels = [("shard", shard_labels[i].as_str())];
+            emit(new(&json, name, help, read(shard)).labeled(&labels));
+        }
+    }
+    for (i, shard) in store.shards.iter().enumerate() {
+        for (key, mode, counts) in [
+            ("lock_wait_read_us", "read", &shard.lock_wait_read_us),
+            ("lock_wait_write_us", "write", &shard.lock_wait_write_us),
+        ] {
+            let json = [N("session_store"), N("shards"), I(i), N(key)];
+            let labels = [("shard", shard_labels[i].as_str()), ("mode", mode)];
+            emit(
+                histogram(
+                    &json,
                     "routes_session_shard_lock_wait_us",
-                    &[("shard", &shard_labels[i]), ("mode", mode)],
+                    "Shard lock-acquisition wait in microseconds, by shard and mode.",
                     &LOCK_WAIT_BUCKETS_US,
                     counts,
-                    None,
-                );
-            }
+                )
+                .labeled(&labels),
+            );
         }
+    }
 
-        if let Some(p) = persist {
-            w.family(
-                "routes_wal_generation",
-                "gauge",
-                "Current WAL generation number.",
-            );
-            w.sample("routes_wal_generation", &[], p.wal_gen);
-            for (name, help, value) in [
-                (
-                    "routes_wal_appends_total",
-                    "WAL records appended.",
-                    p.wal_appends,
-                ),
-                ("routes_wal_bytes_total", "WAL bytes written.", p.wal_bytes),
-                (
-                    "routes_fsync_batches_total",
-                    "Group-commit fsync batches.",
-                    p.fsync_batches,
-                ),
-                (
-                    "routes_fsync_records_total",
-                    "WAL records made durable by fsync batches.",
-                    p.fsync_records,
-                ),
-                (
-                    "routes_snapshots_written_total",
-                    "Checkpoint snapshots written.",
-                    p.snapshots_written,
-                ),
-            ] {
-                w.family(name, "counter", help);
-                w.sample(name, &[], value);
+    let Some(p) = persist else { return };
+    emit(gauge(
+        &[N("persistence"), N("wal_gen")],
+        "routes_wal_generation",
+        "Current WAL generation number.",
+        p.wal_gen,
+    ));
+    emit(counter(
+        &[N("persistence"), N("wal_appends")],
+        "routes_wal_appends_total",
+        "WAL records appended.",
+        p.wal_appends,
+    ));
+    emit(counter(
+        &[N("persistence"), N("wal_bytes")],
+        "routes_wal_bytes_total",
+        "WAL bytes written.",
+        p.wal_bytes,
+    ));
+    emit(counter(
+        &[N("persistence"), N("fsync_batches")],
+        "routes_fsync_batches_total",
+        "Group-commit fsync batches.",
+        p.fsync_batches,
+    ));
+    emit(counter(
+        &[N("persistence"), N("fsync_records")],
+        "routes_fsync_records_total",
+        "WAL records made durable by fsync batches.",
+        p.fsync_records,
+    ));
+    emit(counter(
+        &[N("persistence"), N("snapshots_written")],
+        "routes_snapshots_written_total",
+        "Checkpoint snapshots written.",
+        p.snapshots_written,
+    ));
+    emit(gauge(
+        &[N("persistence"), N("wal_records_since_checkpoint")],
+        "routes_wal_records_since_checkpoint",
+        "WAL records appended since the last checkpoint.",
+        p.wal_records_since_checkpoint,
+    ));
+    emit(histogram(
+        &[N("persistence"), N("fsync_latency_us")],
+        "routes_fsync_latency_us",
+        "Group-commit fsync latency in microseconds.",
+        &FSYNC_BUCKETS_US,
+        &p.fsync_latency_us,
+    ));
+    emit(gauge(
+        &[N("persistence"), N("replayed_records")],
+        "routes_wal_replayed_records",
+        "WAL records replayed during the last recovery.",
+        p.replayed_records,
+    ));
+    emit(gauge(
+        &[N("persistence"), N("restored_sessions")],
+        "routes_wal_restored_sessions",
+        "Sessions restored during the last recovery.",
+        p.restored_sessions,
+    ));
+    emit(gauge(
+        &[N("persistence"), N("recovery_dropped")],
+        "routes_recovery_dropped",
+        "Records the last recovery dropped because they no longer applied.",
+        p.recovery_dropped,
+    ));
+    emit(gauge(
+        &[N("persistence"), N("recovery_us")],
+        "routes_recovery_us",
+        "Wall time of the last recovery in microseconds.",
+        p.recovery_us,
+    ));
+}
+
+/// A histogram bucket's JSON `le_us`: its bound, or `"inf"` past the last.
+fn le_json(bounds: &[u64], bucket: usize) -> Json {
+    Json::from(
+        bounds
+            .get(bucket)
+            .map_or_else(|| "inf".to_owned(), |b| b.to_string()),
+    )
+}
+
+/// Put `leaf` at `path` under `root`, creating the objects and arrays on
+/// the way. Consecutive series share their enclosing block, so looking
+/// the block up from the newest field is O(1) in practice; the leaf
+/// itself is appended unchecked, since [`declare`] names each path once.
+fn insert(root: &mut Json, path: &[Key], leaf: Json) {
+    let (last, parents) = path.split_last().expect("declared paths are non-empty");
+    let mut node = root;
+    for (step, key) in parents.iter().enumerate() {
+        // Room for every block's fields up front: growing ~20 containers
+        // from empty by doubling cost ~15% of a JSON render.
+        let container = || match path[step + 1] {
+            Key::Name(_) => Json::Object(Vec::with_capacity(16)),
+            Key::Index(_) => Json::Array(Vec::with_capacity(16)),
+        };
+        node = match (node, *key) {
+            (Json::Object(fields), Key::Name(name)) => {
+                let at = match fields.iter().rposition(|(k, _)| k == name) {
+                    Some(at) => at,
+                    None => {
+                        fields.push((name.to_owned(), container()));
+                        fields.len() - 1
+                    }
+                };
+                &mut fields[at].1
             }
-            w.family(
-                "routes_wal_records_since_checkpoint",
-                "gauge",
-                "WAL records appended since the last checkpoint.",
-            );
-            w.sample(
-                "routes_wal_records_since_checkpoint",
-                &[],
-                p.wal_records_since_checkpoint,
-            );
-            w.family(
-                "routes_fsync_latency_us",
-                "histogram",
-                "Group-commit fsync latency in microseconds.",
-            );
-            w.histogram(
-                "routes_fsync_latency_us",
-                &[],
-                &FSYNC_BUCKETS_US,
-                &p.fsync_latency_us,
-                None,
-            );
-            w.family(
-                "routes_wal_replayed_records",
-                "gauge",
-                "WAL records replayed during the last recovery.",
-            );
-            w.sample("routes_wal_replayed_records", &[], p.replayed_records);
-            w.family(
-                "routes_wal_restored_sessions",
-                "gauge",
-                "Sessions restored during the last recovery.",
-            );
-            w.sample("routes_wal_restored_sessions", &[], p.restored_sessions);
-            w.family(
-                "routes_recovery_us",
-                "gauge",
-                "Wall time of the last recovery in microseconds.",
-            );
-            w.sample("routes_recovery_us", &[], p.recovery_us);
-        }
-
-        w.finish()
+            (Json::Array(items), Key::Index(i)) => {
+                if i == items.len() {
+                    items.push(container());
+                }
+                &mut items[i]
+            }
+            _ => unreachable!("declared paths agree on their containers"),
+        };
+    }
+    match (node, *last) {
+        (Json::Object(fields), Key::Name(name)) => fields.push((name.to_owned(), leaf)),
+        _ => unreachable!("declared leaves are object fields"),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, HashSet};
+
     use super::*;
+    use crate::session::{SessionStore, ShardSnapshot};
+
+    /// The JSON rendering over a one-shard store snapshot holding `live`
+    /// sessions, at `threads`.
+    fn json_of(m: &Metrics, live: usize, threads: usize) -> Json {
+        let mut store = SessionStore::with_shards(4, 1).snapshot();
+        store.shards[0].sessions = live;
+        m.to_json_with_store(&store, None, &JoinSnapshot::default(), threads)
+    }
 
     #[test]
     fn responses_land_in_class_and_latency_buckets() {
@@ -1215,7 +1132,7 @@ mod tests {
         assert_eq!(m.responses_2xx.load(Relaxed), 2);
         assert_eq!(m.responses_4xx.load(Relaxed), 1);
         assert_eq!(m.responses_5xx.load(Relaxed), 1);
-        let snapshot = m.to_json(3, 2);
+        let snapshot = json_of(&m, 3, 2);
         assert_eq!(
             snapshot.get("version").unwrap().as_str(),
             Some(env!("CARGO_PKG_VERSION")),
@@ -1258,7 +1175,7 @@ mod tests {
         assert_eq!(exemplars[0], Some(("slow".to_owned(), 80)));
         assert_eq!(exemplars[1], Some(("err".to_owned(), 300)));
         assert!(exemplars[2..].iter().all(|e| e.is_none()));
-        let json = m.to_json(0, 1);
+        let json = json_of(&m, 0, 1);
         let rendered = json.get("exemplars").unwrap().as_array().unwrap();
         assert_eq!(rendered.len(), 2);
         assert_eq!(rendered[0].get("trace_id").unwrap().as_str(), Some("slow"));
@@ -1268,8 +1185,6 @@ mod tests {
 
     #[test]
     fn empty_window_renders_zero_gauges_at_boot() {
-        use crate::session::SessionStore;
-
         let m = Metrics::new();
         let store = SessionStore::with_shards(1, 1);
         let text = m.to_prometheus(&store.snapshot(), None, &JoinSnapshot::default(), 1);
@@ -1292,8 +1207,6 @@ mod tests {
 
     #[test]
     fn prometheus_buckets_carry_the_exemplar_annotation() {
-        use crate::session::SessionStore;
-
         let m = Metrics::new();
         m.record_response(200, Duration::from_micros(70), Some("abc123"));
         let store = SessionStore::with_shards(1, 1);
@@ -1308,7 +1221,6 @@ mod tests {
 
     #[test]
     fn store_snapshot_renders_totals_shards_and_lock_wait_histograms() {
-        use crate::session::SessionStore;
         use routes_chase::ChaseOptions;
         use routes_cli::{load_scenario_str, prepare_scenario};
         use routes_pool::Pool;
@@ -1366,8 +1278,6 @@ mod tests {
 
     #[test]
     fn persistence_block_renders_counters_and_fsync_histogram() {
-        use crate::session::SessionStore;
-
         let p = PersistSnapshot {
             wal_gen: 2,
             wal_appends: 7,
@@ -1391,8 +1301,6 @@ mod tests {
 
     #[test]
     fn join_block_renders_the_batch_executor_counters() {
-        use crate::session::SessionStore;
-
         let j = JoinSnapshot {
             batches: 5,
             rows_probed: 40,
@@ -1421,11 +1329,13 @@ mod tests {
         m.record_phase(Phase::Chase, Duration::from_micros(90));
         m.record_phase(Phase::Chase, Duration::from_micros(400));
         m.record_phase(Phase::Forest, Duration::from_millis(2));
-        assert_eq!(m.phase(Phase::Chase).count.load(Relaxed), 2);
-        assert_eq!(m.phase(Phase::Chase).total_us.load(Relaxed), 490);
-        assert_eq!(m.phase(Phase::Route).count.load(Relaxed), 0);
-        let snapshot = m.to_json(0, 1);
+        let snapshot = json_of(&m, 0, 1);
         let phases = snapshot.get("phases").unwrap();
+        let stat = |phase: &str, key: &str| phases.get(phase).unwrap().get(key).unwrap().as_u64();
+        assert_eq!(stat("chase", "count"), Some(2));
+        assert_eq!(stat("chase", "total_us"), Some(490));
+        assert_eq!(stat("forest", "count"), Some(1));
+        assert_eq!(stat("route", "count"), Some(0));
         for p in Phase::ALL {
             let entry = phases.get(p.name()).unwrap();
             let hist_total: u64 = entry
@@ -1438,9 +1348,361 @@ mod tests {
                 .sum();
             assert_eq!(Some(hist_total), entry.get("count").unwrap().as_u64());
         }
-        assert_eq!(
-            phases.get("forest").unwrap().get("count").unwrap().as_u64(),
-            Some(1)
+    }
+
+    /// A scrape where every counter holds a distinct non-zero value, every
+    /// histogram has samples, and two request-latency buckets carry
+    /// exemplars; with the value each counter and gauge must read, keyed by
+    /// its [`dotted`] JSON path and stated independently of `declare`.
+    fn busy_scrape() -> (
+        Metrics,
+        StoreSnapshot,
+        PersistSnapshot,
+        JoinSnapshot,
+        HashMap<String, u64>,
+    ) {
+        let m = Metrics::new();
+        m.record_response(200, Duration::from_micros(70), Some("trace-a"));
+        m.record_response(503, Duration::from_millis(3), Some("trace-b"));
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            m.record_phase(p, Duration::from_micros(50 + 700 * i as u64));
+        }
+        m.record_queue_wait(Duration::from_micros(700));
+        let counters = [
+            ("requests_total", &m.requests_total),
+            ("responses_2xx", &m.responses_2xx),
+            ("responses_4xx", &m.responses_4xx),
+            ("responses_5xx", &m.responses_5xx),
+            ("bad_requests", &m.bad_requests),
+            ("connections_accepted", &m.connections_accepted),
+            ("admission.queue_capacity", &m.admission_queue_capacity),
+            ("admission.queue_depth", &m.admission_queue_depth),
+            ("admission.admitted", &m.admission_admitted),
+            ("admission.shed", &m.admission_shed),
+            ("admission.timeouts", &m.admission_timeouts),
+            ("admission.reaped", &m.admission_reaped),
+            ("sessions_created", &m.sessions_created),
+            ("sessions_deleted", &m.sessions_deleted),
+            ("sessions_evicted", &m.sessions_evicted),
+            ("one_routes_computed", &m.one_routes_computed),
+            ("all_routes_computed", &m.all_routes_computed),
+            ("forest_cache_hits", &m.forest_cache_hits),
+            ("forest_cache_misses", &m.forest_cache_misses),
+            ("edits.applied", &m.edits_applied),
+            ("edits.rejected", &m.edits_rejected),
+            ("edits.ops_applied", &m.edit_ops_applied),
+            ("edits.forests_kept", &m.edit_forests_kept),
+            ("edits.forests_invalidated", &m.edit_forests_invalidated),
+            ("pipeline.sessions_created", &m.pipeline_sessions_created),
+            ("pipeline.stage_chases", &m.pipeline_stage_chases),
+            ("pipeline.core_runs", &m.pipeline_core_runs),
+            (
+                "pipeline.core_tuples_removed",
+                &m.pipeline_core_tuples_removed,
+            ),
+            ("pipeline.stitched_routes", &m.pipeline_stitched_routes),
+            ("pipeline.stitched_hops", &m.pipeline_stitched_hops),
+        ];
+        let mut want = HashMap::new();
+        for (i, (path, counter)) in counters.into_iter().enumerate() {
+            counter.store(1_000 + i as u64, Relaxed);
+            want.insert(path.to_owned(), 1_000 + i as u64);
+        }
+        let shard = |base: u64| ShardSnapshot {
+            sessions: base as usize,
+            capacity: base as usize + 1,
+            hits: base + 2,
+            misses: base + 3,
+            inserts: base + 4,
+            removes: base + 5,
+            evictions: base + 6,
+            demotions: base + 7,
+            evict_scan_steps: base + 8,
+            write_locks: base + 9,
+            lock_wait_read_us: (10..16).map(|i| base + i).collect(),
+            lock_wait_write_us: (20..26).map(|i| base + i).collect(),
+        };
+        let store = StoreSnapshot {
+            capacity: 2_000,
+            shards: vec![shard(2_100), shard(2_200)],
+        };
+        // The shard fields in the order of their offsets in `shard`.
+        for (i, base) in [2_100, 2_200].into_iter().enumerate() {
+            for (offset, key) in [
+                "sessions",
+                "capacity",
+                "hits",
+                "misses",
+                "inserts",
+                "removes",
+                "evictions",
+                "demotions",
+                "evict_scan_steps",
+                "write_locks",
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let path = format!("session_store.shards[{i}].{key}");
+                want.insert(path, base + offset as u64);
+            }
+        }
+        let persist = PersistSnapshot {
+            wal_appends: 3_001,
+            wal_bytes: 3_002,
+            wal_records_since_checkpoint: 3_003,
+            fsync_batches: 3_004,
+            fsync_records: 3_005,
+            snapshots_written: 3_006,
+            replayed_records: 3_007,
+            restored_sessions: 3_008,
+            recovery_dropped: 3_009,
+            recovery_us: 3_010,
+            wal_gen: 3_011,
+            fsync_latency_us: (3_020..3_027).collect(),
+        };
+        let join = JoinSnapshot {
+            batches: 4_001,
+            rows_probed: 4_002,
+            index_probes: 4_003,
+            hash_builds: 4_004,
+            hash_build_rows: 4_005,
+        };
+        let window = m.window.snapshot();
+        // Store totals sum the two shards; persistence and join repeat the
+        // values set above, and the window reads its own snapshot.
+        for (path, value) in [
+            ("live_sessions", 4_300),
+            ("session_store.live_sessions", 4_300),
+            ("session_store.capacity", 2_000),
+            ("session_store.shard_count", 2),
+            ("session_store.hits", 4_304),
+            ("session_store.misses", 4_306),
+            ("session_store.inserts", 4_308),
+            ("session_store.removes", 4_310),
+            ("session_store.evictions", 4_312),
+            ("session_store.evict_scan_steps", 4_316),
+            ("session_store.write_locks", 4_318),
+            ("persistence.wal_appends", 3_001),
+            ("persistence.wal_bytes", 3_002),
+            ("persistence.wal_records_since_checkpoint", 3_003),
+            ("persistence.fsync_batches", 3_004),
+            ("persistence.fsync_records", 3_005),
+            ("persistence.snapshots_written", 3_006),
+            ("persistence.replayed_records", 3_007),
+            ("persistence.restored_sessions", 3_008),
+            ("persistence.recovery_dropped", 3_009),
+            ("persistence.recovery_us", 3_010),
+            ("persistence.wal_gen", 3_011),
+            ("join.batches", 4_001),
+            ("join.rows_probed", 4_002),
+            ("join.index_probes", 4_003),
+            ("join.hash_builds", 4_004),
+            ("join.hash_build_rows", 4_005),
+            ("window.seconds", window.seconds as u64),
+            ("window.requests", window.requests),
+            ("window.errors", window.errors),
+            ("window.rps_milli", window.rps_milli),
+            ("window.error_rate_milli", window.error_rate_milli),
+            ("window.p50_us", window.p50_us),
+            ("window.p90_us", window.p90_us),
+            ("window.p99_us", window.p99_us),
+        ] {
+            want.insert(path.to_owned(), value);
+        }
+        for p in Phase::ALL {
+            want.insert(format!("phases.{}.count", p.name()), 1);
+        }
+        (m, store, persist, join, want)
+    }
+
+    /// `path` written `a.b[0].c`.
+    fn dotted(path: &[Key]) -> String {
+        let steps: String = path
+            .iter()
+            .map(|key| match key {
+                Key::Name(name) => format!(".{name}"),
+                Key::Index(i) => format!("[{i}]"),
+            })
+            .collect();
+        steps[1..].to_owned()
+    }
+
+    /// What one declared series must render as: its family, its JSON
+    /// leaves (path and value), and its exposition sample lines.
+    type Expected = (Option<&'static str>, Vec<(Vec<Key>, Json)>, Vec<String>);
+
+    fn expected(s: &Series<'_>) -> Expected {
+        let name = s.family.map(|f| f.name);
+        let line = |suffix: &str, le: Option<&str>, value: u64| {
+            let labels: Vec<String> = s
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .chain(le.map(|le| format!("le=\"{le}\"")))
+                .collect();
+            let name = name.unwrap_or_default();
+            match labels.is_empty() {
+                true => format!("{name}{suffix} {value}"),
+                false => format!("{name}{suffix}{{{}}} {value}", labels.join(",")),
+            }
+        };
+        let h = match &s.reading {
+            Reading::Value(v) => {
+                return (
+                    name,
+                    vec![(s.json.to_vec(), Json::from(*v))],
+                    vec![line("", None, *v)],
+                )
+            }
+            Reading::Text(text) => {
+                return (
+                    name,
+                    vec![(s.json.to_vec(), Json::from(*text))],
+                    vec![line("", None, 1)],
+                )
+            }
+            Reading::Histogram(h) => h,
+        };
+        let (mut buckets, mut occupied, mut lines, mut total) =
+            (Vec::new(), Vec::new(), Vec::new(), 0);
+        for (i, &count) in h.counts.iter().enumerate() {
+            total += count;
+            buckets.push(Json::obj([
+                ("le_us", le_json(h.bounds, i)),
+                ("count", Json::from(count)),
+            ]));
+            let le = h.bounds.get(i).map_or("+Inf".to_owned(), u64::to_string);
+            let mut bucket = line("_bucket", Some(&le), total);
+            if let Some((trace, dur)) = h.exemplars.and_then(|(_, e)| e[i].as_ref()) {
+                bucket += &format!(" # {{trace_id=\"{trace}\"}} {dur}");
+                occupied.push(Json::obj([
+                    ("le_us", le_json(h.bounds, i)),
+                    ("trace_id", Json::from(trace.as_str())),
+                    ("dur_us", Json::from(*dur)),
+                ]));
+            }
+            lines.push(bucket);
+        }
+        let mut leaves = vec![(s.json.to_vec(), Json::Array(buckets))];
+        if let Some((path, sum)) = h.sum {
+            leaves.push((path.to_vec(), Json::from(sum)));
+            lines.push(line("_sum", None, sum));
+        }
+        if let Some((path, _)) = h.exemplars {
+            leaves.push((path.to_vec(), Json::Array(occupied)));
+        }
+        lines.push(line("_count", None, total));
+        (name, leaves, lines)
+    }
+
+    /// Remove and return the leaf at `path`.
+    fn take(root: &mut Json, path: &[Key]) -> Option<Json> {
+        let (last, parents) = path.split_last()?;
+        let mut node = root;
+        for key in parents {
+            node = match (node, key) {
+                (Json::Object(fields), Key::Name(name)) => {
+                    &mut fields.iter_mut().find(|(k, _)| k == name)?.1
+                }
+                (Json::Array(items), Key::Index(i)) => items.get_mut(*i)?,
+                _ => return None,
+            };
+        }
+        let (Json::Object(fields), Key::Name(name)) = (node, last) else {
+            return None;
+        };
+        let at = fields.iter().position(|(k, _)| k == name)?;
+        Some(fields.remove(at).1)
+    }
+
+    /// Paths of every leaf left in `json` (an empty array counts as one).
+    fn leftovers(json: &Json, path: &str, out: &mut Vec<String>) {
+        match json {
+            Json::Object(fields) => {
+                for (key, value) in fields {
+                    leftovers(value, &format!("{path}.{key}"), out);
+                }
+            }
+            Json::Array(items) if !items.is_empty() => {
+                for (i, item) in items.iter().enumerate() {
+                    leftovers(item, &format!("{path}[{i}]"), out);
+                }
+            }
+            _ => out.push(path.to_owned()),
+        }
+    }
+
+    #[test]
+    fn every_declared_series_renders_once_in_each_format() {
+        let (m, store, persist, join, mut want) = busy_scrape();
+        // Uptime is read once per walk: retry if a second boundary falls
+        // between the three walks.
+        let (mut json, text, declared, values) = loop {
+            let before = m.uptime_seconds();
+            let json = m.to_json_with_store(&store, Some(&persist), &join, 3);
+            let text = m.to_prometheus(&store, Some(&persist), &join, 3);
+            let (mut declared, mut values) = (Vec::new(), Vec::new());
+            declare(&m, &store, Some(&persist), &join, 3, &mut |s| {
+                if let Reading::Value(v) = s.reading {
+                    values.push((dotted(s.json), v));
+                }
+                declared.push(expected(&s));
+            });
+            if m.uptime_seconds() == before {
+                want.insert("uptime_seconds".to_owned(), before);
+                break (json, text, declared, values);
+            }
+        };
+        // Each counter and gauge reads the value stored for its own path.
+        want.insert("threads".to_owned(), 3);
+        for (path, value) in values {
+            assert_eq!(want.remove(&path), Some(value), "value at {path}");
+        }
+        assert!(want.is_empty(), "stored values no series reads: {want:?}");
+        let (mut paths, mut families, mut lines, mut json_only) =
+            (HashSet::new(), HashSet::new(), Vec::new(), Vec::new());
+        for (family, leaves, series) in declared {
+            match family {
+                Some(name) => {
+                    families.insert(name);
+                    lines.extend(series);
+                }
+                None => json_only.push(leaves[0].0.clone()),
+            }
+            for (path, leaf) in leaves {
+                assert!(paths.insert(path.clone()), "{path:?} declared twice");
+                assert_eq!(take(&mut json, &path), Some(leaf), "JSON leaf {path:?}");
+            }
+        }
+        let mut left = Vec::new();
+        leftovers(&json, "$", &mut left);
+        assert!(
+            left.is_empty(),
+            "JSON leaves the list does not declare: {left:?}"
         );
+        let mut rendered: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        rendered.sort_unstable();
+        lines.sort_unstable();
+        assert!(
+            lines.windows(2).all(|w| w[0] != w[1]),
+            "a sample declared twice"
+        );
+        assert_eq!(rendered, lines, "exposition samples");
+        assert_eq!(
+            text.matches("# TYPE ").count(),
+            families.len(),
+            "one announcement per family"
+        );
+        assert_eq!(
+            text.matches(" # {trace_id=").count(),
+            2,
+            "both exemplars rendered"
+        );
+        let mut only: Vec<Vec<Key>> = Phase::ALL
+            .map(|p| vec![Key::Name("phases"), Key::Name(p.name()), Key::Name("count")])
+            .to_vec();
+        only.push(vec![Key::Name("session_store"), Key::Name("live_sessions")]);
+        assert_eq!(json_only, only, "only the two JSON-only entries");
     }
 }

@@ -82,21 +82,23 @@ pub struct Persistence {
 /// chase reproduces the solution `J` exactly, so nothing else was stored.
 /// Pipeline scenarios re-chase the full stage chain (core mode rides in
 /// the text's `pipeline:` section, so no extra codec state is needed).
-/// `None` (text no longer loads/chases — impossible without version skew)
-/// drops the session rather than failing recovery.
-fn reprepare(text: &str, chase: ChaseMode, pool: &Pool) -> Option<PreparedSession> {
+/// An error (text no longer loads/chases — impossible without version
+/// skew) drops the session rather than failing recovery; the store logs
+/// each drop and [`PersistMetrics::recovery_dropped`] counts them.
+fn reprepare(text: &str, chase: ChaseMode, pool: &Pool) -> Result<PreparedSession, String> {
     let options = match chase {
         ChaseMode::Fresh => ChaseOptions::fresh(),
         ChaseMode::Skolem => ChaseOptions::skolem(),
     };
     if is_pipeline_scenario(text) {
-        let loaded = load_pipeline_str(text).ok()?;
-        let (scenario, pipeline) = prepare_pipeline(loaded, options, pool).ok()?;
-        return Some((scenario, Some(Arc::new(pipeline))));
+        let loaded = load_pipeline_str(text).map_err(|e| e.to_string())?;
+        let (scenario, pipeline) =
+            prepare_pipeline(loaded, options, pool).map_err(|e| e.to_string())?;
+        return Ok((scenario, Some(Arc::new(pipeline))));
     }
-    let loaded = load_scenario_str(text).ok()?;
-    let scenario = prepare_scenario_with(loaded, options, pool).ok()?;
-    Some((scenario, None))
+    let loaded = load_scenario_str(text).map_err(|e| e.to_string())?;
+    let scenario = prepare_scenario_with(loaded, options, pool).map_err(|e| e.to_string())?;
+    Ok((scenario, None))
 }
 
 impl Persistence {
@@ -113,8 +115,8 @@ impl Persistence {
         let dir = StoreDir::open(dir)?;
         let recovery = dir.recover()?;
         let prep = |text: &str, chase: ChaseMode| reprepare(text, chase, pool);
-        store.restore_state(&recovery.state, pool, &prep);
-        store.replay_records(&recovery.records, pool, &prep);
+        let dropped = store.restore_state(&recovery.state, pool, &prep)
+            + store.replay_records(&recovery.records, pool, &prep);
         let report = RecoveryReport {
             restored_sessions: store.len(),
             replayed_records: recovery.records.len(),
@@ -130,6 +132,7 @@ impl Persistence {
         metrics
             .restored_sessions
             .store(report.restored_sessions as u64, Relaxed);
+        metrics.recovery_dropped.store(dropped as u64, Relaxed);
         metrics.recovery_us.store(
             started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             Relaxed,

@@ -73,6 +73,7 @@ use routes_cli::PreparedScenario;
 use routes_core::{RouteEnv, RouteForest};
 use routes_incr::IncrState;
 use routes_model::{RelId, TupleId};
+use routes_obs::Histogram;
 use routes_pipeline::PreparedPipeline;
 use routes_pool::Pool;
 use routes_store::{
@@ -376,25 +377,18 @@ impl Entry {
     }
 }
 
-/// A lock-wait histogram over [`LOCK_WAIT_BUCKETS_US`].
-#[derive(Default)]
-struct WaitHist {
-    buckets: [AtomicU64; LOCK_WAIT_BUCKETS_US.len() + 1],
-}
-
-impl WaitHist {
-    fn record(&self, wait: Duration) {
-        let us = wait.as_micros().min(u128::from(u64::MAX)) as u64;
-        let idx = LOCK_WAIT_BUCKETS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(LOCK_WAIT_BUCKETS_US.len());
-        self.buckets[idx].fetch_add(1, Relaxed);
-    }
-
-    fn counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Relaxed)).collect()
-    }
+/// Log one recovery drop: a persisted session or edit that no longer
+/// applies and is skipped rather than failing recovery.
+fn log_recovery_drop(id: u64, record: &str, error: &str) {
+    routes_obs::log(
+        routes_obs::Level::Warn,
+        "recovery_drop",
+        &[
+            ("session", routes_obs::Value::from(id)),
+            ("record", routes_obs::Value::from(record)),
+            ("error", routes_obs::Value::from(error)),
+        ],
+    );
 }
 
 /// Per-shard operation counters, all relaxed atomics. `evict_scan_steps`
@@ -413,8 +407,6 @@ struct ShardStats {
     /// Write-lock acquisitions (inserts, removes, eviction scans — never
     /// lookups; the pre-shard store write-locked on every `get`).
     write_locks: AtomicU64,
-    read_wait: WaitHist,
-    write_wait: WaitHist,
 }
 
 struct ShardInner {
@@ -434,6 +426,9 @@ struct Shard {
     /// This shard's slice of the store capacity (≥ 1).
     capacity: usize,
     stats: ShardStats,
+    /// Lock-acquisition waits over [`LOCK_WAIT_BUCKETS_US`], by mode.
+    read_wait: Histogram,
+    write_wait: Histogram,
 }
 
 impl Shard {
@@ -448,6 +443,8 @@ impl Shard {
             occupancy: AtomicUsize::new(0),
             capacity,
             stats: ShardStats::default(),
+            read_wait: Histogram::new(&LOCK_WAIT_BUCKETS_US),
+            write_wait: Histogram::new(&LOCK_WAIT_BUCKETS_US),
         }
     }
 
@@ -469,7 +466,8 @@ impl Shard {
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let wait = start.elapsed();
-        self.stats.read_wait.record(wait);
+        self.read_wait
+            .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
         routes_obs::record_current("session_lock_read", start, wait);
         guard
     }
@@ -481,7 +479,8 @@ impl Shard {
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let wait = start.elapsed();
-        self.stats.write_wait.record(wait);
+        self.write_wait
+            .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
         self.stats.write_locks.fetch_add(1, Relaxed);
         routes_obs::record_current("session_lock_write", start, wait);
         guard
@@ -616,8 +615,8 @@ impl Shard {
             demotions: self.stats.demotions.load(Relaxed),
             evict_scan_steps: self.stats.evict_scan_steps.load(Relaxed),
             write_locks: self.stats.write_locks.load(Relaxed),
-            lock_wait_read_us: self.stats.read_wait.counts(),
-            lock_wait_write_us: self.stats.write_wait.counts(),
+            lock_wait_read_us: self.read_wait.counts().collect(),
+            lock_wait_write_us: self.write_wait.counts().collect(),
         }
     }
 }
@@ -933,14 +932,14 @@ impl SessionStore {
     /// shard clocks start at the image's maximum (so every later stamp
     /// sorts after every restored one) and tombstones re-shard by id.
     /// Scenario preparation — the chase — dominates recovery time and
-    /// fans out over `workers`; an entry whose text no longer prepares is
-    /// dropped (`prepare` returning `None`) rather than aborting
-    /// recovery. Returns the number of restored sessions.
+    /// fans out over `workers`; an entry whose text no longer prepares
+    /// (`prepare` returning an error) is dropped and logged rather than
+    /// aborting recovery. Returns the number of dropped entries.
     pub fn restore_state(
         &self,
         state: &SnapshotState,
         workers: &Pool,
-        prepare: &(dyn Fn(&str, ChaseMode) -> Option<PreparedSession> + Sync),
+        prepare: &(dyn Fn(&str, ChaseMode) -> Result<PreparedSession, String> + Sync),
     ) -> usize {
         self.next_id.fetch_max(state.next_id, Relaxed);
         if state.shards.len() == self.shards.len() {
@@ -963,14 +962,19 @@ impl SessionStore {
                 }
             }
         }
-        let prepared: Vec<Option<PreparedSession>> =
+        let prepared: Vec<Result<PreparedSession, String>> =
             workers.par_map_items(&state.entries, 1, |entry| {
                 prepare(&entry.scenario, entry.chase)
             });
-        let mut restored = 0usize;
+        let mut dropped = 0usize;
         for (entry, prepared) in state.entries.iter().zip(prepared) {
-            let Some((scenario, pipeline)) = prepared else {
-                continue;
+            let (scenario, pipeline) = match prepared {
+                Ok(prepared) => prepared,
+                Err(error) => {
+                    dropped += 1;
+                    log_recovery_drop(entry.id, "snapshot", &error);
+                    continue;
+                }
             };
             let origin = SessionOrigin {
                 chase: entry.chase,
@@ -990,10 +994,8 @@ impl SessionStore {
             let mut inner = shard.write_locked();
             inner.sessions.insert(entry.id, stored);
             shard.occupancy.store(inner.sessions.len(), Relaxed);
-            drop(inner);
-            restored += 1;
         }
-        restored
+        dropped
     }
 
     /// Re-apply WAL records in log order on top of a restored snapshot.
@@ -1003,15 +1005,17 @@ impl SessionStore {
     /// deterministic history replays to the same recency structure it
     /// produced live. A Create whose id is tombstoned is skipped: ids are
     /// never reused, so the Evict/Delete that follows it in the log (or
-    /// preceded it in a racy interleaving) is authoritative. Returns the
-    /// number of records applied.
+    /// preceded it in a racy interleaving) is authoritative. A Create
+    /// whose text no longer prepares, or an Edit whose ops or edited text
+    /// no longer apply, is dropped and logged. Returns the number of
+    /// dropped records.
     pub fn replay_records(
         &self,
         records: &[Record],
         workers: &Pool,
-        prepare: &(dyn Fn(&str, ChaseMode) -> Option<PreparedSession> + Sync),
+        prepare: &(dyn Fn(&str, ChaseMode) -> Result<PreparedSession, String> + Sync),
     ) -> usize {
-        let mut applied = 0usize;
+        let mut dropped = 0usize;
         for record in records {
             match record {
                 Record::Create {
@@ -1023,8 +1027,13 @@ impl SessionStore {
                     if shard.read_locked().gone_set.contains(id) {
                         continue;
                     }
-                    let Some((prep, pipeline)) = prepare(scenario, *chase) else {
-                        continue;
+                    let (prep, pipeline) = match prepare(scenario, *chase) {
+                        Ok(prepared) => prepared,
+                        Err(error) => {
+                            dropped += 1;
+                            log_recovery_drop(*id, "create", &error);
+                            continue;
+                        }
                     };
                     // Keep the id counter ahead of every replayed id even
                     // if the log tail (where the counter would have been
@@ -1040,15 +1049,12 @@ impl SessionStore {
                     let mut inner = shard.write_locked();
                     inner.sessions.insert(*id, Entry::new(session, stamp));
                     shard.occupancy.store(inner.sessions.len(), Relaxed);
-                    drop(inner);
-                    applied += 1;
                 }
                 Record::Touch { id } => {
                     let shard = &self.shards[self.shard_of(*id)];
                     let entry = shard.read_locked().sessions.get(id).cloned();
                     if let Some(entry) = entry {
                         entry.touch(&shard.clock);
-                        applied += 1;
                     }
                 }
                 Record::Delete { id } => {
@@ -1056,7 +1062,6 @@ impl SessionStore {
                     let mut inner = shard.write_locked();
                     if inner.sessions.remove(id).is_some() {
                         shard.occupancy.store(inner.sessions.len(), Relaxed);
-                        applied += 1;
                     }
                 }
                 Record::Evict { id } => {
@@ -1065,7 +1070,6 @@ impl SessionStore {
                     inner.sessions.remove(id);
                     push_tombstone(&mut inner, *id);
                     shard.occupancy.store(inner.sessions.len(), Relaxed);
-                    applied += 1;
                 }
                 Record::Forest { id, selection } => {
                     let session = self.shards[self.shard_of(*id)]
@@ -1075,7 +1079,6 @@ impl SessionStore {
                         .map(|e| Arc::clone(&e.session));
                     if let Some(session) = session {
                         self.warm_forests(&session, std::slice::from_ref(selection), workers);
-                        applied += 1;
                     }
                 }
                 Record::Edit { id, seq, ops } => {
@@ -1100,13 +1103,18 @@ impl SessionStore {
                     let Some(origin) = session.origin() else {
                         continue;
                     };
-                    let Ok((text, _)) = routes_incr::apply_edits(&origin.text, ops) else {
-                        continue;
-                    };
                     // Edits only exist for flat sessions, so the replayed
                     // incarnation never carries a pipeline.
-                    let Some((prep, _)) = prepare(&text, origin.chase) else {
-                        continue;
+                    let edited = routes_incr::apply_edits(&origin.text, ops)
+                        .map_err(|e| e.to_string())
+                        .and_then(|(text, _)| Ok((prepare(&text, origin.chase)?, text)));
+                    let ((prep, _), text) = match edited {
+                        Ok(edited) => edited,
+                        Err(error) => {
+                            dropped += 1;
+                            log_recovery_drop(*id, "edit", &error);
+                            continue;
+                        }
                     };
                     let new_origin = SessionOrigin {
                         chase: origin.chase,
@@ -1119,13 +1127,11 @@ impl SessionStore {
                         IncrState::default(),
                         HashMap::new(),
                     ));
-                    if self.replace(*id, replaced) {
-                        applied += 1;
-                    }
+                    self.replace(*id, replaced);
                 }
             }
         }
-        applied
+        dropped
     }
 
     /// Recompute persisted forest-cache keys for a restored session,

@@ -32,6 +32,8 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
+use routes_obs::Histogram;
+
 use crate::metrics::LATENCY_BUCKETS_US;
 
 /// Environment knob: how many one-second slots the window ring holds.
@@ -62,7 +64,7 @@ struct Slot {
     stamp: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
+    latency: Histogram,
 }
 
 impl Slot {
@@ -71,16 +73,14 @@ impl Slot {
             stamp: AtomicU64::new(u64::MAX),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            latency: Default::default(),
+            latency: Histogram::new(&LATENCY_BUCKETS_US),
         }
     }
 
     fn reset(&self) {
         self.requests.store(0, Relaxed);
         self.errors.store(0, Relaxed);
-        for b in &self.latency {
-            b.store(0, Relaxed);
-        }
+        self.latency.reset();
     }
 }
 
@@ -156,7 +156,7 @@ impl WindowRing {
         if status >= 500 {
             slot.errors.fetch_add(1, Relaxed);
         }
-        slot.latency[bucket_of(latency_us)].fetch_add(1, Relaxed);
+        slot.latency.record(latency_us);
     }
 
     fn snapshot_at(&self, epoch: u64) -> WindowSnapshot {
@@ -172,8 +172,8 @@ impl WindowRing {
             }
             requests += slot.requests.load(Relaxed);
             errors += slot.errors.load(Relaxed);
-            for (acc, b) in latency.iter_mut().zip(&slot.latency) {
-                *acc += b.load(Relaxed);
+            for (acc, count) in latency.iter_mut().zip(slot.latency.counts()) {
+                *acc += count;
             }
         }
         WindowSnapshot {
@@ -187,13 +187,6 @@ impl WindowRing {
             p99_us: quantile_us(&latency, requests, 99),
         }
     }
-}
-
-fn bucket_of(us: u64) -> usize {
-    LATENCY_BUCKETS_US
-        .iter()
-        .position(|&b| us <= b)
-        .unwrap_or(LATENCY_BUCKETS_US.len())
 }
 
 /// Estimate the `pct`-th percentile (0–100) from per-bucket counts by

@@ -4,6 +4,8 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
+use routes_obs::Histogram;
+
 /// Upper bounds (µs) of the fsync-latency histogram; the last bucket is
 /// unbounded. fsyncs are the slowest thing the service does besides the
 /// chase itself, so the buckets stretch to 100 ms.
@@ -11,7 +13,6 @@ pub const FSYNC_BUCKETS_US: [u64; 6] = [50, 200, 1_000, 5_000, 25_000, 100_000];
 
 /// Shared persistence counters. One instance is shared by the WAL, the
 /// checkpointer, and recovery; `/metrics` renders a [`PersistSnapshot`].
-#[derive(Default)]
 pub struct PersistMetrics {
     /// Records appended to the WAL (any durability).
     pub wal_appends: AtomicU64,
@@ -32,16 +33,39 @@ pub struct PersistMetrics {
     /// Sessions restored (snapshot entries + replayed creates that
     /// survived) by the last recovery.
     pub restored_sessions: AtomicU64,
+    /// Snapshot entries and WAL records the last recovery skipped because
+    /// they no longer applied (text that no longer loads or chases, edit
+    /// ops that no longer apply).
+    pub recovery_dropped: AtomicU64,
     /// Wall time of the last recovery, microseconds.
     pub recovery_us: AtomicU64,
     /// The live WAL generation number.
     pub wal_gen: AtomicU64,
-    fsync_latency: [AtomicU64; FSYNC_BUCKETS_US.len() + 1],
+    fsync_latency: Histogram,
+}
+
+impl Default for PersistMetrics {
+    fn default() -> Self {
+        PersistMetrics::new()
+    }
 }
 
 impl PersistMetrics {
     pub fn new() -> Self {
-        PersistMetrics::default()
+        PersistMetrics {
+            wal_appends: AtomicU64::new(0),
+            wal_bytes: AtomicU64::new(0),
+            wal_records_since_checkpoint: AtomicU64::new(0),
+            fsync_batches: AtomicU64::new(0),
+            fsync_records: AtomicU64::new(0),
+            snapshots_written: AtomicU64::new(0),
+            replayed_records: AtomicU64::new(0),
+            restored_sessions: AtomicU64::new(0),
+            recovery_dropped: AtomicU64::new(0),
+            recovery_us: AtomicU64::new(0),
+            wal_gen: AtomicU64::new(0),
+            fsync_latency: Histogram::new(&FSYNC_BUCKETS_US),
+        }
     }
 
     /// Record one group commit: its fsync wall time and how many records
@@ -49,12 +73,8 @@ impl PersistMetrics {
     pub fn record_fsync(&self, wall: Duration, records: u64) {
         self.fsync_batches.fetch_add(1, Relaxed);
         self.fsync_records.fetch_add(records, Relaxed);
-        let us = wall.as_micros().min(u128::from(u64::MAX)) as u64;
-        let idx = FSYNC_BUCKETS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(FSYNC_BUCKETS_US.len());
-        self.fsync_latency[idx].fetch_add(1, Relaxed);
+        self.fsync_latency
+            .record(wall.as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
     /// A point-in-time copy for rendering.
@@ -68,9 +88,10 @@ impl PersistMetrics {
             snapshots_written: self.snapshots_written.load(Relaxed),
             replayed_records: self.replayed_records.load(Relaxed),
             restored_sessions: self.restored_sessions.load(Relaxed),
+            recovery_dropped: self.recovery_dropped.load(Relaxed),
             recovery_us: self.recovery_us.load(Relaxed),
             wal_gen: self.wal_gen.load(Relaxed),
-            fsync_latency_us: self.fsync_latency.iter().map(|b| b.load(Relaxed)).collect(),
+            fsync_latency_us: self.fsync_latency.counts().collect(),
         }
     }
 }
@@ -87,6 +108,7 @@ pub struct PersistSnapshot {
     pub snapshots_written: u64,
     pub replayed_records: u64,
     pub restored_sessions: u64,
+    pub recovery_dropped: u64,
     pub recovery_us: u64,
     pub wal_gen: u64,
     /// Bucket counts over [`FSYNC_BUCKETS_US`] (+1 unbounded bucket).

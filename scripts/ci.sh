@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
 cargo build --release --workspace --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Parallel-execution determinism gate: the chase and route-forest results
@@ -45,24 +45,27 @@ ROUTES_SESSION_SHARDS=8 cargo test -q --offline --test persistence_recovery
 ROUTES_SESSION_SHARDS=1 ROUTES_THREADS=2 cargo test -q --offline --test incremental_edits
 ROUTES_SESSION_SHARDS=8 ROUTES_THREADS=2 cargo test -q --offline --test incremental_edits
 
+# Bench smokes run with --quick, which writes under target/bench-smoke/ and
+# leaves the committed full-run CSVs in bench_results/ untouched.
+#
 # Incremental-edit bench smoke: incremental apply vs full re-chase over a
-# pinned campaign (writes bench_results/micro_edit.csv).
+# pinned campaign (writes target/bench-smoke/micro_edit.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro edit --quick
 
 # Vectorized-join bench smoke: batch executor vs row-at-a-time MatchIter
-# (writes bench_results/micro_join.csv).
+# (writes target/bench-smoke/micro_join.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro join --quick
 
 # Thread-scaling bench smoke: `repro micro parallel` must run end to end
-# (writes bench_results/micro_parallel.csv).
+# (writes target/bench-smoke/micro_parallel.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro parallel --quick
 
 # Session-store shard-scaling bench smoke (writes
-# bench_results/micro_sessions.csv).
+# target/bench-smoke/micro_sessions.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro sessions --quick
 
 # WAL fsync-batch bench smoke: append throughput and recovery time per
-# group-commit batch size (writes bench_results/micro_persist.csv).
+# group-commit batch size (writes target/bench-smoke/micro_persist.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro persist --quick
 
 # Pipeline gate: stage-by-stage chase + route stitching byte-identical at
@@ -73,7 +76,7 @@ ROUTES_THREADS=2 cargo test -q --offline --test pipeline_routes
 ROUTES_THREADS=8 cargo test -q --offline --test pipeline_routes
 
 # Pipeline bench smoke: stitched-route latency per hop count and core
-# shrink ratio (writes bench_results/micro_pipeline.csv).
+# shrink ratio (writes target/bench-smoke/micro_pipeline.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro pipeline --quick
 
 # Admission-control gate: the HTTP saturation/abuse battery (slow-loris
@@ -84,7 +87,7 @@ ROUTES_SESSION_SHARDS=1 ROUTES_THREADS=2 cargo test -q --offline --test http_ove
 ROUTES_SESSION_SHARDS=8 ROUTES_THREADS=2 cargo test -q --offline --test http_overload
 
 # HTTP saturation bench smoke: closed-loop clients past capacity, shed
-# at the door (writes bench_results/micro_http.csv).
+# at the door (writes target/bench-smoke/micro_http.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro http --quick
 
 # Observability gate: the socket suite (trace-ID propagation, /trace span
@@ -93,7 +96,7 @@ cargo run --release --offline -p routes-bench --bin repro -- micro http --quick
 ROUTES_SESSION_SHARDS=1 cargo test -q --offline --test observability
 ROUTES_SESSION_SHARDS=8 cargo test -q --offline --test observability
 
-# Tracing-overhead bench smoke (writes bench_results/micro_obs.csv).
+# Tracing-overhead bench smoke (writes target/bench-smoke/micro_obs.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro obs --quick
 
 # Self-profiler gate: the chase must be byte-identical (stats, per-tgd
@@ -103,7 +106,7 @@ ROUTES_THREADS=2 cargo test -q --offline --test profiler
 ROUTES_THREADS=8 cargo test -q --offline --test profiler
 
 # Self-profiler bench smoke: per-tgd chase attribution plus sampler
-# on/off request-path overhead (writes bench_results/micro_prof.csv).
+# on/off request-path overhead (writes target/bench-smoke/micro_prof.csv).
 cargo run --release --offline -p routes-bench --bin repro -- micro prof --quick
 
 # Structured-logging gate: boot a real spiderd, shut it down over the

@@ -14,7 +14,9 @@
 //!
 //! 2. **Torn-tail boot** — damage the WAL behind a stopped server and
 //!    assert recovery keeps exactly the intact prefix: the torn create is
-//!    the only session lost.
+//!    the only session lost. A log whose records decode but no longer
+//!    apply (a create whose text does not load, an edit whose op does not
+//!    apply) boots with those records dropped, counted, and logged.
 //!
 //! 3. **Seeded fault campaign** — at the `routes-store` API level, inject
 //!    one `random_fault` per SplitMix64 seed into a known log and assert
@@ -24,10 +26,10 @@
 //!    Also pins `store::faults::SplitMix64` bit-for-bit against
 //!    `routes_gen::Rng`, the promise made in `faults`' module docs.
 
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use routes_server::json::{parse, Json};
@@ -308,6 +310,100 @@ fn torn_wal_tail_loses_only_the_unsynced_suffix() {
     let id = body.get("session").unwrap().as_u64().unwrap();
     assert!(id >= 5, "ids advance past every replayed create, got {id}");
     shutdown(addr, handle);
+}
+
+/// A `Write` sink appending into a shared buffer, capturing the server's
+/// structured log lines.
+struct Capture(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Capture {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn records_that_no_longer_apply_are_dropped_counted_and_logged() {
+    let tmp = TempDir::new("recovery-drops");
+    let dir = StoreDir::open(tmp.path()).expect("open dir");
+    let wal = dir
+        .checkpoint(
+            &SnapshotState::default(),
+            1,
+            Arc::new(PersistMetrics::new()),
+        )
+        .expect("checkpoint");
+    // One good create, one create whose text does not load, and an edit
+    // of the good session deleting a row it does not have.
+    for record in [
+        Record::Create {
+            id: 1,
+            chase: ChaseMode::Fresh,
+            scenario: scenario_text(7),
+        },
+        Record::Create {
+            id: 2,
+            chase: ChaseMode::Fresh,
+            scenario: "this is not a scenario".to_owned(),
+        },
+        Record::Edit {
+            id: 1,
+            seq: 1,
+            ops: vec![EditOp::DeleteTuple {
+                relation: "S".to_owned(),
+                row: 9,
+            }],
+        },
+    ] {
+        wal.append(&record, Durability::Synced).expect("append");
+    }
+    drop(wal);
+
+    let buffer = Arc::new(Mutex::new(Vec::new()));
+    routes_obs::set_sink(Some(Box::new(Capture(Arc::clone(&buffer)))));
+    let (addr, handle) = start(config_with_dir(tmp.path(), 32));
+    routes_obs::set_sink(None);
+    let mut c = Client::connect(addr);
+    let (status, body) = c.request("GET", "/sessions/1", None);
+    assert_eq!(status, 200, "the good create survives");
+    assert_eq!(
+        body.get("source").unwrap().get("S").unwrap().as_u64(),
+        Some(2),
+        "at its pre-edit text: the dropped edit deleted nothing"
+    );
+    let (status, _) = c.request("GET", "/sessions/2", None);
+    assert_eq!(status, 404, "the create whose text does not load is gone");
+    let (_, m) = c.request("GET", "/metrics", None);
+    let p = m.get("persistence").unwrap();
+    assert_eq!(p.get("replayed_records").unwrap().as_u64(), Some(3));
+    assert_eq!(p.get("restored_sessions").unwrap().as_u64(), Some(1));
+    assert_eq!(p.get("recovery_dropped").unwrap().as_u64(), Some(2));
+    shutdown(addr, handle);
+
+    let captured = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+    let drops: Vec<(u64, String)> = captured
+        .lines()
+        .map(|line| parse(line).unwrap_or_else(|e| panic!("unparseable log {line:?}: {e}")))
+        .filter(|record| record.get("event").and_then(Json::as_str) == Some("recovery_drop"))
+        .map(|record| {
+            assert_eq!(record.get("level").and_then(Json::as_str), Some("warn"));
+            assert!(record.get("error").and_then(Json::as_str).is_some());
+            (
+                record.get("session").and_then(Json::as_u64).unwrap(),
+                record
+                    .get("record")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_owned(),
+            )
+        })
+        .collect();
+    assert_eq!(drops, [(2, "create".to_owned()), (1, "edit".to_owned())]);
 }
 
 #[test]
