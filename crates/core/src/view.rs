@@ -3,9 +3,12 @@
 //! [`Route`], [`RouteForest`], and [`SatisfactionStep`] borrow interned
 //! identifiers that only resolve against a [`RouteEnv`] and [`ValuePool`].
 //! The views here resolve everything up front into owned strings and
-//! indices, so a transport layer (the HTTP server, a future GUI) can
-//! serialize them without holding the pool or the instances — and without
-//! this crate committing to any wire format.
+//! indices, so a caller can show or serialize them without holding the
+//! pool or the instances, and without this crate committing to any wire
+//! format. The HTTP server writes its answers straight from routes and
+//! forests instead (`routes_server::answer`); these views are the display
+//! API, the oracle that writer is tested against, and the input of the
+//! benchmark's in-process replay.
 
 use routes_model::{tuple_to_string, Side, TupleId, ValuePool, Var};
 

@@ -1,24 +1,37 @@
 //! Human-readable rendering of tuples and facts (used by examples, the
 //! debugger's watch window, and error messages).
 
+use std::fmt::Write as _;
+
 use crate::instance::{Fact, Instance, Side, TupleId};
 use crate::schema::Schema;
 use crate::value::ValuePool;
 
 /// Render a tuple as `Rel(v1, v2, ...)`.
 pub fn tuple_to_string(pool: &ValuePool, schema: &Schema, inst: &Instance, id: TupleId) -> String {
-    let rel = schema.relation(id.rel);
     let mut out = String::with_capacity(32);
-    out.push_str(rel.name());
+    write_tuple(&mut out, pool, schema, inst, id);
+    out
+}
+
+/// Append `Rel(v1, v2, ...)` to `out`: [`tuple_to_string`] without the
+/// allocations, for callers that render many tuples into one buffer.
+pub fn write_tuple(
+    out: &mut String,
+    pool: &ValuePool,
+    schema: &Schema,
+    inst: &Instance,
+    id: TupleId,
+) {
+    out.push_str(schema.relation(id.rel).name());
     out.push('(');
-    for (i, &v) in inst.tuple(id).iter().enumerate() {
-        if i > 0 {
+    for col in 0..inst.arity(id.rel) {
+        if col > 0 {
             out.push_str(", ");
         }
-        out.push_str(&pool.value_to_string(v));
+        let _ = write!(out, "{}", pool.display(inst.value_at(id, col)));
     }
     out.push(')');
-    out
 }
 
 /// Render a fact, choosing the right schema/instance by its [`Side`].

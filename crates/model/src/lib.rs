@@ -28,7 +28,7 @@ pub mod schema;
 pub mod value;
 
 pub use atom::{Atom, Term, Var};
-pub use display::{fact_to_string, tuple_to_string};
+pub use display::{fact_to_string, tuple_to_string, write_tuple};
 pub use error::ModelError;
 pub use instance::{ColProbe, Fact, Instance, MultiProbe, Side, TupleId};
 pub use joinstats::JoinSnapshot;

@@ -7,6 +7,8 @@
 //! * [`http`] — a hand-rolled HTTP/1.1 subset (keep-alive, strict limits).
 //! * [`json`] — an in-repo JSON value, parser, and encoder (the workspace
 //!   builds offline with no external crates — see `DESIGN.md`).
+//! * [`answer`] — the one-route, all-routes and stitched-route bodies,
+//!   written straight from the routes and forests into one string.
 //! * [`session`] — the sharded session store (`ROUTES_SESSION_SHARDS` or
 //!   available parallelism shards, each its own `RwLock<HashMap>` slice)
 //!   with segmented-LRU eviction, read-lock + atomic touches, and a
@@ -41,6 +43,7 @@
 //! loader and `prepare` step, so a scenario file means exactly the same
 //! thing to both front-ends.
 
+pub mod answer;
 pub mod http;
 pub mod json;
 pub mod metrics;

@@ -38,13 +38,14 @@ use routes_cli::{
     is_pipeline_scenario, load_pipeline_str, load_scenario_str, prepare_pipeline,
     prepare_scenario_with,
 };
-use routes_core::{compute_one_route, ForestView, RouteForest, RouteView, StepView, TupleRef};
+use routes_core::{compute_one_route, RouteForest};
 use routes_model::TupleId;
 use routes_pipeline::{stitch_route, StitchError};
 use routes_pool::Pool;
 
 use routes_store::{ChaseMode, Durability, EditOp, Record};
 
+use crate::answer;
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{Metrics, Phase};
@@ -712,31 +713,7 @@ impl App {
             .fetch_add(stitched.stages.len() as u64, Relaxed);
         let print_start = Instant::now();
         let _print_span = routes_obs::span("print");
-        let stages: Vec<Json> = stitched
-            .stages
-            .iter()
-            .map(|stage| {
-                let env = pipeline.stage_env(stage.stage);
-                let view = RouteView::build(&pipeline.pool, &env, &stage.route);
-                Json::obj([
-                    ("stage", Json::from(stage.stage)),
-                    ("name", Json::from(stage.name.as_str())),
-                    ("selection", Json::from(stage.selection.len())),
-                    ("steps", Json::Array(route_steps_json(&view))),
-                ])
-            })
-            .collect();
-        let response = Response::json(
-            200,
-            Json::obj([
-                ("found", Json::Bool(true)),
-                ("validated", Json::Bool(true)),
-                ("hops", Json::from(stitched.stages.len())),
-                ("total_steps", Json::from(stitched.total_steps())),
-                ("stages", Json::Array(stages)),
-            ])
-            .encode(),
-        );
+        let response = Response::json(200, answer::stitched(pipeline, &stitched));
         self.metrics
             .record_phase(Phase::Print, print_start.elapsed());
         response
@@ -969,16 +946,9 @@ impl App {
                     .record_phase(Phase::Route, route_start.elapsed());
                 let print_start = Instant::now();
                 let print_span = routes_obs::span("print");
-                let view = RouteView::build(&session.scenario.pool, &env, &route);
                 let response = Response::json(
                     200,
-                    Json::obj([
-                        ("found", Json::Bool(true)),
-                        ("validated", Json::Bool(true)),
-                        ("produced_tuples", Json::from(produced.len())),
-                        ("steps", Json::Array(route_steps_json(&view))),
-                    ])
-                    .encode(),
+                    answer::one_route(&session.scenario.pool, &env, &route, produced.len()),
                 );
                 drop(print_span);
                 self.metrics
@@ -991,36 +961,9 @@ impl App {
                     .record_phase(Phase::Route, route_start.elapsed());
                 // "No route" is a debugging *answer* (the paper's unroutable
                 // tuples), not a client error.
-                let pool = &session.scenario.pool;
-                let labels: Vec<Json> = e
-                    .no_route
-                    .iter()
-                    .map(|&t| {
-                        tuple_ref_json(&TupleRef {
-                            relation: session
-                                .scenario
-                                .mapping
-                                .target()
-                                .relation(t.rel)
-                                .name()
-                                .to_owned(),
-                            row: t.row,
-                            text: routes_model::tuple_to_string(
-                                pool,
-                                session.scenario.mapping.target(),
-                                &session.scenario.target,
-                                t,
-                            ),
-                        })
-                    })
-                    .collect();
                 Response::json(
                     200,
-                    Json::obj([
-                        ("found", Json::Bool(false)),
-                        ("no_route", Json::Array(labels)),
-                    ])
-                    .encode(),
+                    answer::no_route(&session.scenario.pool, &env, &e.no_route),
                 )
             }
         }
@@ -1057,37 +1000,9 @@ impl App {
         let env = session.env();
         let print_start = Instant::now();
         let _print_span = routes_obs::span("print");
-        let view = ForestView::build(&session.scenario.pool, &env, &forest);
         let response = Response::json(
             200,
-            Json::obj([
-                ("cached", Json::Bool(cached)),
-                ("num_nodes", Json::from(view.nodes.len())),
-                ("num_branches", Json::from(view.num_branches)),
-                ("all_roots_provable", Json::from(view.all_roots_provable)),
-                (
-                    "roots",
-                    Json::Array(view.roots.iter().map(tuple_ref_json).collect()),
-                ),
-                (
-                    "nodes",
-                    Json::Array(
-                        view.nodes
-                            .iter()
-                            .map(|n| {
-                                Json::obj([
-                                    ("tuple", tuple_ref_json(&n.tuple)),
-                                    (
-                                        "branches",
-                                        Json::Array(n.branches.iter().map(step_json).collect()),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-            .encode(),
+            answer::forest(&session.scenario.pool, &env, &forest, cached),
         );
         self.metrics
             .record_phase(Phase::Print, print_start.elapsed());
@@ -1286,49 +1201,4 @@ fn profile_tree_json(stacks: &[(String, u64)]) -> Json {
         }
     }
     render(&root.children)
-}
-
-fn tuple_ref_json(t: &TupleRef) -> Json {
-    Json::obj([
-        ("relation", Json::from(t.relation.as_str())),
-        ("row", Json::from(t.row)),
-        ("text", Json::from(t.text.as_str())),
-    ])
-}
-
-fn step_json(step: &StepView) -> Json {
-    Json::obj([
-        ("tgd", Json::from(step.tgd.as_str())),
-        (
-            "hom",
-            Json::Object(
-                step.hom
-                    .iter()
-                    .map(|(var, value)| (var.clone(), Json::from(value.as_str())))
-                    .collect(),
-            ),
-        ),
-        (
-            "lhs",
-            Json::Array(
-                step.lhs
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("source", Json::from(f.source)),
-                            ("tuple", tuple_ref_json(&f.tuple)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "rhs",
-            Json::Array(step.rhs.iter().map(tuple_ref_json).collect()),
-        ),
-    ])
-}
-
-fn route_steps_json(view: &RouteView) -> Vec<Json> {
-    view.steps.iter().map(step_json).collect()
 }

@@ -10,6 +10,12 @@ cargo build --release --workspace --offline
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Benchmark-harness gate: perfbench is its own workspace, so the steps
+# above never compile it, yet it calls the server's and the route core's
+# public API. Build and test it where `perfbench/run.sh` builds it;
+# --locked keeps perfbench/Cargo.lock as committed.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Parallel-execution determinism gate: the chase and route-forest results
 # must be byte-identical to sequential at every worker count. Run the
 # suite under two ROUTES_THREADS overrides (the tests additionally sweep
