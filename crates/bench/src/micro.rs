@@ -1,7 +1,7 @@
 //! Micro-benchmarks, formerly the five criterion harnesses under
 //! `benches/` (`fig10`, `fig11`, `flat_hierarchy`, `table1`, `ablations`),
-//! ported to the std [`bench_median`](crate::bench_median) harness so the
-//! workspace builds offline with no external dependencies.
+//! ported to the std [`bench_median`] harness so the workspace builds
+//! offline with no external dependencies.
 //!
 //! Run via the `repro` binary: `repro micro` prints every group and writes
 //! `bench_results/micro_*.csv`. Scales and selections are identical to the

@@ -6,10 +6,14 @@
 //! homomorphisms into every other solution (paper §2), so this search is the
 //! test oracle for chase correctness.
 //!
-//! The search is backtracking over the facts of `K` and is intended for
-//! test-sized instances.
+//! [`search`] is the workspace's one backtracking homomorphism search. Two
+//! extensions serve core minimization (`routes-pipeline`): a set of
+//! *rigid* nulls that map to themselves like constants, and a set of
+//! *excluded* rows that may not serve as images (so a retraction
+//! `J → J∖{t}` needs no copy of `J`). It is intended for test-sized
+//! instances and per-hop cores.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use routes_model::{Instance, NullId, TupleId, Value};
 
@@ -18,7 +22,14 @@ use routes_model::{Instance, NullId, TupleId, Value};
 pub fn find_homomorphism(from: &Instance, to: &Instance) -> Option<HashMap<NullId, Value>> {
     let tuples: Vec<TupleId> = from.all_rows().collect();
     let mut mapping = HashMap::new();
-    if search(from, to, &tuples, 0, &mut mapping) {
+    if search(
+        from,
+        to,
+        &tuples,
+        &HashSet::new(),
+        &HashSet::new(),
+        &mut mapping,
+    ) {
         Some(mapping)
     } else {
         None
@@ -30,10 +41,38 @@ pub fn has_homomorphism(from: &Instance, to: &Instance) -> bool {
     find_homomorphism(from, to).is_some()
 }
 
-fn search(
+/// Extend `mapping` so that every row of `tuples` (rows of `from`) maps
+/// onto a row of `to` outside `excluded`, with constants and `rigid` nulls
+/// fixed. Rows are matched in `tuples` order; each row's candidate images
+/// come in ascending row order, from the index of its most selective
+/// already-determined column (or a scan), so the result is deterministic.
+/// On `false`, `mapping` is left as it was.
+pub fn search(
     from: &Instance,
     to: &Instance,
     tuples: &[TupleId],
+    rigid: &HashSet<NullId>,
+    excluded: &HashSet<TupleId>,
+    mapping: &mut HashMap<NullId, Value>,
+) -> bool {
+    search_from(from, to, tuples, rigid, excluded, 0, mapping)
+}
+
+/// The image `v` is already committed to: itself when rigid, its mapping
+/// when a bound null, `None` when a free null.
+fn resolve(v: Value, rigid: &HashSet<NullId>, mapping: &HashMap<NullId, Value>) -> Option<Value> {
+    match v {
+        Value::Null(n) if !rigid.contains(&n) => mapping.get(&n).copied(),
+        fixed => Some(fixed),
+    }
+}
+
+fn search_from(
+    from: &Instance,
+    to: &Instance,
+    tuples: &[TupleId],
+    rigid: &HashSet<NullId>,
+    excluded: &HashSet<TupleId>,
     depth: usize,
     mapping: &mut HashMap<NullId, Value>,
 ) -> bool {
@@ -46,12 +85,8 @@ fn search(
     // column if any, else scan.
     let mut best: Option<(u32, Value, usize)> = None;
     for (col, &v) in values.iter().enumerate() {
-        let image = match v {
-            Value::Null(n) => match mapping.get(&n) {
-                Some(&img) => img,
-                None => continue,
-            },
-            constant => constant,
+        let Some(image) = resolve(v, rigid, mapping) else {
+            continue;
         };
         let len = to.probe_len(tid.rel, col as u32, image);
         if best.is_none_or(|(_, _, blen)| len < blen) {
@@ -65,11 +100,15 @@ fn search(
     }
 
     'rows: for row in candidates {
-        let image = to.tuple(TupleId { rel: tid.rel, row });
+        let image_id = TupleId { rel: tid.rel, row };
+        if excluded.contains(&image_id) {
+            continue;
+        }
+        let image = to.tuple(image_id);
         let mut bound_here: Vec<NullId> = Vec::new();
         for (col, &v) in values.iter().enumerate() {
             match v {
-                Value::Null(n) => match mapping.get(&n) {
+                Value::Null(n) if !rigid.contains(&n) => match mapping.get(&n) {
                     Some(&img) => {
                         if img != image[col] {
                             for b in bound_here.drain(..) {
@@ -83,8 +122,8 @@ fn search(
                         bound_here.push(n);
                     }
                 },
-                constant => {
-                    if constant != image[col] {
+                fixed => {
+                    if fixed != image[col] {
                         for b in bound_here.drain(..) {
                             mapping.remove(&b);
                         }
@@ -93,7 +132,7 @@ fn search(
                 }
             }
         }
-        if search(from, to, tuples, depth + 1, mapping) {
+        if search_from(from, to, tuples, rigid, excluded, depth + 1, mapping) {
             return true;
         }
         for b in bound_here {

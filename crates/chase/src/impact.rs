@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use routes_mapping::SchemaMapping;
-use routes_model::{Instance, NullId, RelId, Schema, TupleId, Value, ValuePool};
+use routes_model::{Instance, NullId, RelId, Schema, Value, ValuePool};
 
 use crate::engine::{chase, ChaseOptions};
 use crate::result::ChaseError;
@@ -94,81 +94,6 @@ pub fn solution_diff(schema: &Schema, old: &Instance, new: &Instance) -> ImpactR
         }
     }
     report
-}
-
-/// A type-tagged canonical rendering of one value: `i:` / `s:` / `n:`
-/// prefixes keep `Int(5)` from aliasing `Str("5")`, and nulls compare by
-/// *label* rather than raw id, so values from two different pools (e.g.
-/// before and after a scenario edit re-parse) compare by meaning.
-pub fn canon_value(pool: &ValuePool, v: Value) -> String {
-    match v {
-        Value::Int(i) => format!("i:{i}"),
-        Value::Str(_) => format!("s:{}", pool.value_to_string(v)),
-        Value::Null(_) => format!("n:{}", pool.value_to_string(v)),
-    }
-}
-
-/// Row positions where two instances of the same schema disagree.
-///
-/// Unlike [`solution_diff`]'s null-canonical skeletons this diff is
-/// *coordinate-sensitive*: row `r` of relation `R` is touched when the two
-/// instances disagree at that exact position (different values under
-/// [`canon_value`], or present in only one). Route forests reference
-/// tuples by `(rel, row)`, so this is the granularity at which the
-/// incremental layer decides which memoized forests survive an edit.
-#[derive(Debug, Clone, Default)]
-pub struct RowDiff {
-    /// Touched positions in the old instance's coordinates.
-    pub old: Vec<TupleId>,
-    /// Touched positions in the new instance's coordinates.
-    pub new: Vec<TupleId>,
-}
-
-impl RowDiff {
-    /// Whether the instances agree at every position.
-    pub fn is_empty(&self) -> bool {
-        self.old.is_empty() && self.new.is_empty()
-    }
-}
-
-/// Position-wise diff of two instances over `schema`, each rendered under
-/// its own value pool (see [`RowDiff`]).
-pub fn target_row_diff(
-    schema: &Schema,
-    old: &Instance,
-    old_pool: &ValuePool,
-    new: &Instance,
-    new_pool: &ValuePool,
-) -> RowDiff {
-    let mut diff = RowDiff::default();
-    for (rel, _) in schema.iter() {
-        let old_rows: Vec<Vec<Value>> = old.rel_tuples(rel).map(|(_, v)| v).collect();
-        let new_rows: Vec<Vec<Value>> = new.rel_tuples(rel).map(|(_, v)| v).collect();
-        for row in 0..old_rows.len().max(new_rows.len()) {
-            let same = match (old_rows.get(row), new_rows.get(row)) {
-                (Some(o), Some(n)) => {
-                    o.len() == n.len()
-                        && o.iter().zip(n.iter()).all(|(&ov, &nv)| {
-                            canon_value(old_pool, ov) == canon_value(new_pool, nv)
-                        })
-                }
-                _ => false,
-            };
-            if !same {
-                let tid = TupleId {
-                    rel,
-                    row: row as u32,
-                };
-                if row < old_rows.len() {
-                    diff.old.push(tid);
-                }
-                if row < new_rows.len() {
-                    diff.new.push(tid);
-                }
-            }
-        }
-    }
-    diff
 }
 
 /// Chase `source` under both mappings and report the solution difference.
@@ -344,52 +269,6 @@ mod tests {
         let text = impact_to_string(&pool, &t, &report, 10);
         assert!(text.contains("- Clients(434, Smith, Smith, 50, _0)"));
         assert!(text.contains("+ Clients(434, J. Long, Smith, 50, Seattle)"));
-    }
-
-    #[test]
-    fn row_diff_is_position_sensitive_and_pool_aware() {
-        let mut t = Schema::new();
-        t.rel("T", &["a", "b"]);
-        let tr = t.rel_id("T").unwrap();
-        let mut old_pool = ValuePool::new();
-        let mut new_pool = ValuePool::new();
-
-        // Old: T(1, "x"), T(2, N). New pool interns in a different order,
-        // so raw ids differ while renders agree.
-        let mut old = Instance::new(&t);
-        let ox = old_pool.str("x");
-        let on = old_pool.named_null("N");
-        old.insert_ok(tr, &[Value::Int(1), ox]);
-        old.insert_ok(tr, &[Value::Int(2), on]);
-
-        let mut new = Instance::new(&t);
-        let _pad = new_pool.str("padding"); // shift symbol ids
-        let nx = new_pool.str("x");
-        let nn = new_pool.named_null("N");
-        new.insert_ok(tr, &[Value::Int(1), nx]);
-        new.insert_ok(tr, &[Value::Int(2), nn]);
-        assert!(target_row_diff(&t, &old, &old_pool, &new, &new_pool).is_empty());
-
-        // A changed row 0 and an appended row 2 are both touched; the
-        // untouched row 1 is not.
-        new = Instance::new(&t);
-        new.insert_ok(tr, &[Value::Int(9), nx]);
-        new.insert_ok(tr, &[Value::Int(2), nn]);
-        new.insert_ok(tr, &[Value::Int(3), nx]);
-        let diff = target_row_diff(&t, &old, &old_pool, &new, &new_pool);
-        assert_eq!(diff.old, vec![TupleId { rel: tr, row: 0 }]);
-        assert_eq!(
-            diff.new,
-            vec![TupleId { rel: tr, row: 0 }, TupleId { rel: tr, row: 2 }]
-        );
-
-        // Int(5) never aliases Str("5").
-        let five = new_pool.str("5");
-        let mut a = Instance::new(&t);
-        a.insert_ok(tr, &[Value::Int(5), Value::Int(0)]);
-        let mut b = Instance::new(&t);
-        b.insert_ok(tr, &[five, Value::Int(0)]);
-        assert!(!target_row_diff(&t, &a, &new_pool, &b, &new_pool).is_empty());
     }
 
     #[test]

@@ -19,8 +19,12 @@
 //!   idempotent, which the benchmark generators rely on.
 //! * Target egds are applied to fixpoint between tgd rounds, with proper
 //!   chase-failure detection when two distinct constants are equated.
-//! * [`hom::find_homomorphism`] — instance-level homomorphism search, used
-//!   by tests to verify universality of chase results.
+//! * [`hom::search`] — the workspace's one backtracking homomorphism
+//!   search, with rigid nulls and excluded rows; core minimization calls it
+//!   directly, and [`hom::find_homomorphism`] wraps it for the tests that
+//!   verify universality of chase results.
+//! * [`impact`] — mapping-edit impact: chase under the old and the edited
+//!   mapping and diff the solutions by null-canonical tuple skeletons.
 //!
 //! Tgd application is *semi-naive*: after the first round, only matches
 //! touching a tuple from the previous round's delta are re-derived.
@@ -35,8 +39,5 @@ pub mod unify;
 pub use egd_log::{history_to_string, merges_affecting, EgdLog, EgdMerge};
 pub use engine::{chase, chase_with_pool, chase_with_st_matches, ChaseOptions, NullMode};
 pub use hom::find_homomorphism;
-pub use impact::{
-    canon_value, impact_to_string, mapping_impact, solution_diff, target_row_diff, ImpactReport,
-    RowDiff,
-};
+pub use impact::{impact_to_string, mapping_impact, solution_diff, ImpactReport};
 pub use result::{ChaseError, ChaseResult, ChaseStats, TgdStats};

@@ -49,6 +49,15 @@
 //! source data:
 //!   S(1, 2)
 //! ```
+//!
+//! ## The grammar API
+//!
+//! This module is the one owner of the line grammar. Code that reads or
+//! rewrites scenario text without loading it — `routes-incr`'s editor
+//! finds data rows and dependency units this way — goes through the same
+//! functions the loaders use: [`strip_comment`], [`section_header`],
+//! [`split_call`], [`split_values`], [`classify_value`] and
+//! [`push_dependency_line`].
 
 use std::fmt;
 
@@ -118,16 +127,27 @@ impl fmt::Display for LoaderError {
 
 impl std::error::Error for LoaderError {}
 
+/// The section a line of a flat scenario belongs to, as named by the
+/// header line that opened it ([`section_header`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
+pub enum Section {
+    /// Before any section header.
     None,
+    /// `source schema:`
     SourceSchema,
+    /// `target schema:`
     TargetSchema,
+    /// `source xml schema:`
     SourceXmlSchema,
+    /// `target xml schema:`
     TargetXmlSchema,
+    /// `dependencies:`
     Dependencies,
+    /// `source data:`
     SourceData,
+    /// `source xml data:`
     SourceXmlData,
+    /// `target data:`
     TargetData,
 }
 
@@ -136,7 +156,7 @@ pub fn load_scenario_str(text: &str) -> Result<LoadedScenario, LoaderError> {
     let mut pool = ValuePool::new();
     let mut source_schema = Schema::new();
     let mut target_schema = Schema::new();
-    let mut dep_lines: Vec<(usize, String)> = Vec::new();
+    let mut dep_units: Vec<DependencyUnit> = Vec::new();
     let mut source_rows: Vec<(usize, String)> = Vec::new();
     let mut target_rows: Vec<(usize, String)> = Vec::new();
     // XML sections keep their indentation (it encodes nesting).
@@ -176,32 +196,7 @@ pub fn load_scenario_str(text: &str) -> Result<LoadedScenario, LoaderError> {
             }
             Section::SourceXmlSchema => src_xml_schema_lines.push((line_no, indent, line)),
             Section::TargetXmlSchema => dst_xml_schema_lines.push((line_no, indent, line)),
-            Section::Dependencies => {
-                // Multi-line dependencies: a line continues the previous one
-                // when it starts with a connective, or when the previous
-                // line is not yet a complete implication.
-                let starts_continuation = line.starts_with("->")
-                    || line.starts_with('→')
-                    || line.starts_with('&')
-                    || line.starts_with('∧');
-                let prev_incomplete =
-                    dep_lines.last().is_some_and(|(_, prev): &(usize, String)| {
-                        let no_arrow = !prev.contains("->") && !prev.contains('→');
-                        no_arrow
-                            || prev.trim_end().ends_with('&')
-                            || prev.trim_end().ends_with('∧')
-                            || prev.trim_end().ends_with("->")
-                            || prev.trim_end().ends_with('→')
-                            || prev.trim_end().ends_with(',')
-                    });
-                match dep_lines.last_mut() {
-                    Some((_, prev)) if starts_continuation || prev_incomplete => {
-                        prev.push(' ');
-                        prev.push_str(&line);
-                    }
-                    _ => dep_lines.push((line_no, line)),
-                }
-            }
+            Section::Dependencies => push_dependency_line(&mut dep_units, &line, idx),
             Section::SourceData => source_rows.push((line_no, line)),
             Section::SourceXmlData => src_xml_data_lines.push((line_no, indent, line)),
             Section::TargetData => target_rows.push((line_no, line)),
@@ -228,14 +223,7 @@ pub fn load_scenario_str(text: &str) -> Result<LoadedScenario, LoaderError> {
         merge_encoded_schema(nt, &mut target_schema)?;
     }
 
-    let mut mapping = SchemaMapping::new(source_schema.clone(), target_schema.clone());
-    for (line, text) in dep_lines {
-        let dep = parse_dependency(&source_schema, &target_schema, &mut pool, &text)
-            .map_err(|source| LoaderError::Dependency { line, source })?;
-        mapping
-            .add_dependency(dep)
-            .map_err(|source| LoaderError::Dependency { line, source })?;
-    }
+    let mapping = build_mapping(&source_schema, &target_schema, &dep_units, &mut pool)?;
 
     let mut source = Instance::new(&source_schema);
     for (line, text) in source_rows {
@@ -296,15 +284,17 @@ pub struct LoadedPipeline {
 /// to pick [`load_pipeline_str`] over [`load_scenario_str`].
 pub fn is_pipeline_scenario(text: &str) -> bool {
     text.lines().any(|raw| {
-        let line = strip_comment(raw).trim();
-        let lowered = line.to_ascii_lowercase();
-        lowered == "pipeline:"
-            || (lowered.starts_with("stage") && lowered.ends_with(':') && {
-                lowered
-                    .strip_prefix("stage")
-                    .is_some_and(|rest| rest.starts_with(char::is_whitespace))
-            })
+        let lowered = strip_comment(raw).trim().to_ascii_lowercase();
+        lowered == "pipeline:" || (is_stage_header(&lowered) && lowered.ends_with(':'))
     })
+}
+
+/// Whether a lowercased line starts like a `stage <name>:` header:
+/// `stage`, then whitespace.
+fn is_stage_header(lowered: &str) -> bool {
+    lowered
+        .strip_prefix("stage")
+        .is_some_and(|rest| rest.starts_with(char::is_whitespace))
 }
 
 /// One stage block under construction.
@@ -313,7 +303,7 @@ struct RawStage {
     name: String,
     source_schema: Schema,
     target_schema: Schema,
-    dep_lines: Vec<(usize, String)>,
+    dep_units: Vec<DependencyUnit>,
     saw_source_schema: bool,
     saw_target_schema: bool,
 }
@@ -347,11 +337,7 @@ pub fn load_pipeline_str(text: &str) -> Result<LoadedPipeline, LoaderError> {
             continue;
         }
         let lowered = line.to_ascii_lowercase();
-        if lowered.starts_with("stage")
-            && lowered
-                .strip_prefix("stage")
-                .is_some_and(|rest| rest.starts_with(char::is_whitespace))
-        {
+        if is_stage_header(&lowered) {
             let name = parse_stage_header(&line).map_err(|source| LoaderError::Dependency {
                 line: line_no,
                 source,
@@ -367,7 +353,7 @@ pub fn load_pipeline_str(text: &str) -> Result<LoadedPipeline, LoaderError> {
                 name,
                 source_schema: Schema::new(),
                 target_schema: Schema::new(),
-                dep_lines: Vec::new(),
+                dep_units: Vec::new(),
                 saw_source_schema: false,
                 saw_target_schema: false,
             });
@@ -456,9 +442,7 @@ pub fn load_pipeline_str(text: &str) -> Result<LoadedPipeline, LoaderError> {
                     Section::TargetSchema => {
                         add_relation(&mut stage.target_schema, &line, line_no)?
                     }
-                    Section::Dependencies => {
-                        push_dep_line(&mut stage.dep_lines, line, line_no);
-                    }
+                    Section::Dependencies => push_dependency_line(&mut stage.dep_units, &line, idx),
                     _ => unreachable!("only stage-local sections reach here"),
                 }
             }
@@ -497,24 +481,14 @@ pub fn load_pipeline_str(text: &str) -> Result<LoadedPipeline, LoaderError> {
 
     let mut built: Vec<PipelineStage> = Vec::with_capacity(stages.len());
     for stage in &stages {
-        let mut mapping =
-            SchemaMapping::new(stage.source_schema.clone(), stage.target_schema.clone());
-        for (line, text) in &stage.dep_lines {
-            let dep = parse_dependency(&stage.source_schema, &stage.target_schema, &mut pool, text)
-                .map_err(|source| LoaderError::Dependency {
-                    line: *line,
-                    source,
-                })?;
-            mapping
-                .add_dependency(dep)
-                .map_err(|source| LoaderError::Dependency {
-                    line: *line,
-                    source,
-                })?;
-        }
         built.push(PipelineStage {
             name: stage.name.clone(),
-            mapping,
+            mapping: build_mapping(
+                &stage.source_schema,
+                &stage.target_schema,
+                &stage.dep_units,
+                &mut pool,
+            )?,
         });
     }
     let pipeline = Pipeline::new(built, core_mode).map_err(|e| LoaderError::Structure {
@@ -535,30 +509,66 @@ pub fn load_pipeline_str(text: &str) -> Result<LoadedPipeline, LoaderError> {
     })
 }
 
-/// Dependency-section continuation logic, shared by the flat and pipeline
-/// loaders: a line continues the previous one when it starts with a
-/// connective or when the previous line is not yet a complete implication.
-fn push_dep_line(dep_lines: &mut Vec<(usize, String)>, line: String, line_no: usize) {
+/// One logical dependency of a `dependencies:` section, which may span
+/// several physical lines.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DependencyUnit {
+    /// Its lines (comment-stripped and trimmed), joined by single spaces.
+    pub text: String,
+    /// 0-based indices of the physical lines it spans, ascending.
+    pub lines: Vec<usize>,
+}
+
+/// Add one comment-stripped, trimmed dependency-section line, at 0-based
+/// physical line `index`, to `units`. The line continues the last unit
+/// when it starts with a connective or when the last unit is not yet a
+/// complete implication; otherwise it starts a new unit.
+pub fn push_dependency_line(units: &mut Vec<DependencyUnit>, line: &str, index: usize) {
     let starts_continuation = line.starts_with("->")
         || line.starts_with('→')
         || line.starts_with('&')
         || line.starts_with('∧');
-    let prev_incomplete = dep_lines.last().is_some_and(|(_, prev): &(usize, String)| {
+    let prev_incomplete = units.last().is_some_and(|prev| {
+        let prev = prev.text.trim_end();
         let no_arrow = !prev.contains("->") && !prev.contains('→');
         no_arrow
-            || prev.trim_end().ends_with('&')
-            || prev.trim_end().ends_with('∧')
-            || prev.trim_end().ends_with("->")
-            || prev.trim_end().ends_with('→')
-            || prev.trim_end().ends_with(',')
+            || prev.ends_with('&')
+            || prev.ends_with('∧')
+            || prev.ends_with("->")
+            || prev.ends_with('→')
+            || prev.ends_with(',')
     });
-    match dep_lines.last_mut() {
-        Some((_, prev)) if starts_continuation || prev_incomplete => {
-            prev.push(' ');
-            prev.push_str(&line);
+    match units.last_mut() {
+        Some(prev) if starts_continuation || prev_incomplete => {
+            prev.text.push(' ');
+            prev.text.push_str(line);
+            prev.lines.push(index);
         }
-        _ => dep_lines.push((line_no, line)),
+        _ => units.push(DependencyUnit {
+            text: line.to_owned(),
+            lines: vec![index],
+        }),
     }
+}
+
+/// Parse dependency units into a mapping over the two schemas; errors
+/// carry the 1-based number of the unit's first line.
+fn build_mapping(
+    source: &Schema,
+    target: &Schema,
+    units: &[DependencyUnit],
+    pool: &mut ValuePool,
+) -> Result<SchemaMapping, LoaderError> {
+    let mut mapping = SchemaMapping::new(source.clone(), target.clone());
+    for unit in units {
+        let line = unit.lines[0] + 1;
+        let dep = parse_dependency(source, target, pool, &unit.text)
+            .map_err(|source| LoaderError::Dependency { line, source })?;
+        mapping
+            .add_dependency(dep)
+            .map_err(|source| LoaderError::Dependency { line, source })?;
+    }
+    Ok(mapping)
 }
 
 /// Parse an indentation-nested schema section:
@@ -675,8 +685,9 @@ fn parse_nested_data(
     Ok(tree)
 }
 
-fn strip_comment(line: &str) -> &str {
-    // `#` starts a comment unless inside a quoted string.
+/// `line` without its comment: `#` starts a comment unless inside a quoted
+/// string.
+pub fn strip_comment(line: &str) -> &str {
     let mut in_quote: Option<char> = None;
     for (i, c) in line.char_indices() {
         match (in_quote, c) {
@@ -689,7 +700,9 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn section_header(line: &str) -> Option<Section> {
+/// The section a comment-stripped, trimmed line opens, if it is a flat
+/// scenario's section header (case-insensitive, ending in `:`).
+pub fn section_header(line: &str) -> Option<Section> {
     let lowered = line.to_ascii_lowercase();
     match lowered.trim_end_matches(':') {
         "source schema" if lowered.ends_with(':') => Some(Section::SourceSchema),
@@ -754,8 +767,10 @@ fn insert_row(
         })
 }
 
-/// Split `Name( inner )`, tolerating nothing after the closing paren.
-fn split_call(line: &str) -> Option<(&str, &str)> {
+/// Split `Name( inner )` into the name and the text between the outermost
+/// parentheses; `None` when the name is not an identifier or anything but
+/// whitespace follows the closing paren.
+pub fn split_call(line: &str) -> Option<(&str, &str)> {
     let open = line.find('(')?;
     let close = line.rfind(')')?;
     if close < open || !line[close + 1..].trim().is_empty() {
@@ -768,8 +783,9 @@ fn split_call(line: &str) -> Option<(&str, &str)> {
     Some((name, &line[open + 1..close]))
 }
 
-/// Split on commas outside quotes.
-fn split_values(inner: &str) -> Vec<&str> {
+/// Split the inside of a call on commas outside quotes (tokens are not
+/// trimmed).
+pub fn split_values(inner: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut start = 0usize;
     let mut in_quote: Option<char> = None;
@@ -788,32 +804,50 @@ fn split_values(inner: &str) -> Vec<&str> {
     out
 }
 
+/// One data-value token, classified by the value syntax of data sections.
+/// Two tokens denote the same value exactly when they classify equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ValueToken<'a> {
+    /// An integer literal.
+    Int(i64),
+    /// A quoted string constant: the text between the quotes.
+    Str(&'a str),
+    /// A bare identifier: a labeled null with this label.
+    Null(&'a str),
+}
+
+/// Classify a data-value token (surrounding whitespace ignored); `None`
+/// when it is neither an integer, a quoted string nor a bare identifier.
+pub fn classify_value(token: &str) -> Option<ValueToken<'_>> {
+    let token = token.trim();
+    if let Ok(n) = token.parse::<i64>() {
+        return Some(ValueToken::Int(n));
+    }
+    let first = token.chars().next()?;
+    if (first == '\'' || first == '"') && token.len() >= 2 && token.ends_with(first) {
+        return Some(ValueToken::Str(&token[1..token.len() - 1]));
+    }
+    if first.is_alphabetic() || first == '_' {
+        // Bare identifier: a labeled null (Figure 2's N1, M1, A1 ...).
+        return Some(ValueToken::Null(token));
+    }
+    None
+}
+
 fn parse_value(pool: &mut ValuePool, token: &str, line_no: usize) -> Result<Value, LoaderError> {
-    if token.is_empty() {
-        return Err(LoaderError::Data {
+    match classify_value(token) {
+        Some(ValueToken::Int(n)) => Ok(Value::Int(n)),
+        Some(ValueToken::Str(s)) => Ok(pool.str(s)),
+        Some(ValueToken::Null(label)) => Ok(pool.named_null(label)),
+        None if token.is_empty() => Err(LoaderError::Data {
             line: line_no,
             message: "empty value".into(),
-        });
+        }),
+        None => Err(LoaderError::Data {
+            line: line_no,
+            message: format!("cannot parse value `{token}`"),
+        }),
     }
-    if let Ok(n) = token.parse::<i64>() {
-        return Ok(Value::Int(n));
-    }
-    let bytes: Vec<char> = token.chars().collect();
-    if bytes.len() >= 2
-        && (bytes[0] == '\'' || bytes[0] == '"')
-        && bytes[bytes.len() - 1] == bytes[0]
-    {
-        let inner: String = bytes[1..bytes.len() - 1].iter().collect();
-        return Ok(pool.str(&inner));
-    }
-    if bytes[0].is_alphabetic() || bytes[0] == '_' {
-        // Bare identifier: a labeled null (Figure 2's N1, M1, A1 ...).
-        return Ok(pool.named_null(token));
-    }
-    Err(LoaderError::Data {
-        line: line_no,
-        message: format!("cannot parse value `{token}`"),
-    })
 }
 
 #[cfg(test)]
@@ -853,6 +887,57 @@ target data:
             .source
             .tuple(routes_model::TupleId { rel: s, row: 1 });
         assert_eq!(loaded.pool.value_to_string(row[1]), "a#b");
+    }
+
+    #[test]
+    fn value_tokens_classify_by_the_data_syntax() {
+        assert_eq!(classify_value(" -7 "), Some(ValueToken::Int(-7)));
+        assert_eq!(classify_value("'5'"), Some(ValueToken::Str("5")));
+        assert_eq!(classify_value("\"a,b\""), Some(ValueToken::Str("a,b")));
+        assert_eq!(classify_value("''"), Some(ValueToken::Str("")));
+        assert_eq!(classify_value("n5"), Some(ValueToken::Null("n5")));
+        assert_eq!(classify_value("_x"), Some(ValueToken::Null("_x")));
+        for bad in ["", "'", "'a\"", "1x", "-"] {
+            assert_eq!(classify_value(bad), None, "{bad:?}");
+        }
+        // Splitting respects quotes, so these two rows keep their values.
+        let row = |line| {
+            let (_, inner) = split_call(line).unwrap();
+            split_values(inner)
+                .into_iter()
+                .map(classify_value)
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(row("S('a,s:b', 'c')"), row("S('a', 'b,s:c')"));
+        let text = "source schema:\n S(a, b)\ntarget schema:\n T(a)\n\
+                    source data:\n S('a,s:b', 'c')\n S('a', 'b,s:c')\n";
+        assert_eq!(load_scenario_str(text).unwrap().source.total_tuples(), 2);
+    }
+
+    #[test]
+    fn dependency_units_keep_their_physical_lines() {
+        let mut units = Vec::new();
+        for (index, line) in [
+            (3, "m1: S(x, y) &"),
+            (4, "S(y, x)"),
+            (6, "-> T(x, y)"),
+            (7, "m2: S(x, y) -> U(x)"),
+        ] {
+            push_dependency_line(&mut units, line, index);
+        }
+        assert_eq!(
+            units,
+            vec![
+                DependencyUnit {
+                    text: "m1: S(x, y) & S(y, x) -> T(x, y)".into(),
+                    lines: vec![3, 4, 6],
+                },
+                DependencyUnit {
+                    text: "m2: S(x, y) -> U(x)".into(),
+                    lines: vec![7],
+                },
+            ]
+        );
     }
 
     #[test]

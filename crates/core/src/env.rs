@@ -3,7 +3,6 @@
 
 use routes_mapping::{SchemaMapping, TgdId, TgdKind};
 use routes_model::{Fact, Instance, Side, TupleId, Value};
-use routes_query::Bindings;
 
 /// Everything the route algorithms take as input: the mapping `M`, the
 /// source instance `I`, and a solution `J` for `I` under `M`.
@@ -87,15 +86,6 @@ impl<'a> RouteEnv<'a> {
         let tgd = self.mapping.tgd(id);
         let facts = self.resolve_atom_images(tgd.rhs(), hom, self.target, Side::Target)?;
         Some(facts.into_iter().map(|f| f.id).collect())
-    }
-
-    /// Convert a total [`Bindings`] into the dense assignment vector used by
-    /// steps. Panics if any variable in the tgd's space is unbound.
-    pub fn to_assignment(tgd_var_count: usize, b: &Bindings) -> Box<[Value]> {
-        assert_eq!(b.capacity(), tgd_var_count);
-        b.to_total()
-            .expect("findHom yields total assignments")
-            .into_boxed_slice()
     }
 }
 

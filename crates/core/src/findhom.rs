@@ -202,27 +202,13 @@ impl<'a> FindHom<'a> {
         out
     }
 
-    /// Collect all remaining assignments, deduplicated (first occurrence
-    /// wins). A fresh iterator drains through the batched
-    /// [`FindHom::collect_all`]; a partially advanced one finishes lazily.
-    pub fn collect_dedup(mut self) -> Vec<Box<[Value]>> {
+    /// Collect all assignments, deduplicated (first occurrence wins),
+    /// through the batched [`FindHom::collect_all`]. Must be called on a
+    /// fresh iterator.
+    pub fn collect_dedup(self) -> Vec<Box<[Value]>> {
         let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let drain: Vec<Box<[Value]>> =
-            if self.anchor_pos == 0 && self.stage_a.is_none() && self.stage_b.is_none() {
-                self.collect_all()
-            } else {
-                let mut rest = Vec::new();
-                while let Some(h) = self.next_hom() {
-                    rest.push(h);
-                }
-                rest
-            };
-        for h in drain {
-            if seen.insert(h.clone()) {
-                out.push(h);
-            }
-        }
+        let mut out = self.collect_all();
+        out.retain(|h| seen.insert(h.clone()));
         out
     }
 }

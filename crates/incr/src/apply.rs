@@ -6,31 +6,30 @@
 //! 1. Apply the ops to the scenario text and re-parse it — the re-parsed
 //!    pool/mapping/source are *canonical*: exactly what a from-scratch load
 //!    produces.
-//! 2. Diff the source instances by content (type-tagged canonical renders;
-//!    set semantics make renders unique per relation) into a row mapping,
-//!    the inserted-row set, and the touched-row set.
+//! 2. Diff the source instances by content into a row mapping, the
+//!    inserted-row set, and the touched-row set: each old row's values are
+//!    translated into the new pool ([`ValuePool::translate`]) and looked up
+//!    in the new instance's dedup table.
 //! 3. Maintain each s-t tgd's match memo: remap survivors to new row ids,
-//!    join only the inserted rows for new matches
-//!    ([`delta_vectors`](crate::memo::delta_vectors)), and sort the union
-//!    into the engine's enumeration order. Unknown or re-signed tgds fall
-//!    back to a full single-tgd enumeration.
-//! 4. Replay the chase through
-//!    [`chase_with_st_matches`](routes_chase::chase_with_st_matches), which
-//!    fires the memoized matches in order — producing a solution
-//!    byte-identical to a from-scratch chase of the edited scenario, by
-//!    construction, at every worker count.
-//! 5. Diff the old and new solutions and compute the seed set of target
-//!    tuples that may have *gained* branches, for surgical route-forest
-//!    invalidation (see [`crate::invalidate`]).
+//!    join only the inserted rows for new matches ([`delta_vectors`]), and
+//!    sort the union into the engine's enumeration order. Unknown or
+//!    re-signed tgds fall back to a full single-tgd enumeration.
+//! 4. Replay the chase through [`chase_with_st_matches`], which fires the
+//!    memoized matches in order — producing a solution byte-identical to a
+//!    from-scratch chase of the edited scenario, by construction, at every
+//!    worker count.
+//! 5. Diff the old and new solutions position by position and compute the
+//!    seed set of target tuples that may have *gained* branches, for
+//!    surgical route-forest invalidation (see [`crate::invalidate`]).
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use routes_chase::{canon_value, chase_with_st_matches, target_row_diff, ChaseOptions};
+use routes_chase::{chase_with_st_matches, ChaseOptions};
 use routes_cli::PreparedScenario;
 use routes_core::{AnchorSide, FindHom, RouteEnv};
 use routes_mapping::{is_weakly_acyclic, tgd_to_string, TgdId};
-use routes_model::{Fact, Instance, RelId, TupleId, ValuePool};
+use routes_model::{Fact, Instance, RelId, Schema, TupleId, Value, ValuePool};
 use routes_pool::Pool;
 use routes_query::Bindings;
 use routes_store::EditOp;
@@ -71,8 +70,7 @@ pub struct EditApply {
     pub source_deleted: usize,
 }
 
-/// Per-relation content maps between two instances (keyed by canonical row
-/// render, which set semantics make unique within a relation).
+/// Per-relation content maps between two source instances.
 struct SourceDiff {
     /// `old_to_new[rel][old_row]` — the old row's new coordinate, if it
     /// still exists.
@@ -84,21 +82,15 @@ struct SourceDiff {
     deleted: usize,
 }
 
-fn render_rows(inst: &Instance, pool: &ValuePool, rel: RelId) -> HashMap<String, u32> {
-    let mut map = HashMap::new();
-    for (tid, vals) in inst.rel_tuples(rel) {
-        let render: Vec<String> = vals.iter().map(|&v| canon_value(pool, v)).collect();
-        map.insert(render.join(","), tid.row);
-    }
-    map
-}
-
+/// Find every old row in `new` by content: its values translated into
+/// `new_pool`, looked up in `new`'s dedup table. A value `new_pool` never
+/// interned means the row is gone.
 fn diff_sources(
     old: &Instance,
     old_pool: &ValuePool,
     new: &Instance,
     new_pool: &ValuePool,
-    schema: &routes_model::Schema,
+    schema: &Schema,
 ) -> SourceDiff {
     let mut diff = SourceDiff {
         old_to_new: Vec::new(),
@@ -106,17 +98,25 @@ fn diff_sources(
         touched: HashSet::new(),
         deleted: 0,
     };
+    let mut values: Vec<Value> = Vec::new();
     for (rel, _) in schema.iter() {
-        let new_map = render_rows(new, new_pool, rel);
-        let mut matched_new: HashSet<u32> = HashSet::new();
-        let mut map = vec![None; old.rel_len(rel) as usize];
-        for (tid, vals) in old.rel_tuples(rel) {
-            let render: Vec<String> = vals.iter().map(|&v| canon_value(old_pool, v)).collect();
-            match new_map.get(&render.join(",")) {
-                Some(&new_row) => {
-                    map[tid.row as usize] = Some(new_row);
-                    matched_new.insert(new_row);
-                    if new_row != tid.row {
+        let arity = old.arity(rel);
+        let mut matched_new = vec![false; new.rel_len(rel) as usize];
+        let mut map = Vec::with_capacity(old.rel_len(rel) as usize);
+        for tid in old.rel_rows(rel) {
+            values.clear();
+            values.extend(
+                (0..arity).map_while(|col| old_pool.translate(old.value_at(tid, col), new_pool)),
+            );
+            let new_row = if values.len() == arity {
+                new.find(rel, &values).map(|t| t.row)
+            } else {
+                None
+            };
+            match new_row {
+                Some(row) => {
+                    matched_new[row as usize] = true;
+                    if row != tid.row {
                         diff.touched.insert(tid);
                     }
                 }
@@ -125,15 +125,63 @@ fn diff_sources(
                     diff.deleted += 1;
                 }
             }
+            map.push(new_row);
         }
         let fresh: HashSet<u32> = (0..new.rel_len(rel))
-            .filter(|r| !matched_new.contains(r))
+            .filter(|&r| !matched_new[r as usize])
             .collect();
         if !fresh.is_empty() {
             diff.inserted.insert(rel, fresh);
         }
         debug_assert!(diff.old_to_new.len() == rel.0 as usize);
         diff.old_to_new.push(map);
+    }
+    diff
+}
+
+/// Row positions where two instances of the same schema disagree.
+///
+/// Coordinate-sensitive: row `r` of relation `R` is touched when it exists
+/// on one side only, or when some cell differs in meaning across the two
+/// pools ([`ValuePool::translate`]). Route forests reference tuples by
+/// `(rel, row)`, so this is the granularity at which forests survive.
+#[derive(Debug, Default)]
+struct RowDiff {
+    /// Touched positions in the old instance's coordinates.
+    old: Vec<TupleId>,
+    /// Touched positions in the new instance's coordinates.
+    new: Vec<TupleId>,
+}
+
+/// Position-wise diff of two instances over `schema`, each under its own
+/// value pool (see [`RowDiff`]).
+fn target_row_diff(
+    schema: &Schema,
+    old: &Instance,
+    old_pool: &ValuePool,
+    new: &Instance,
+    new_pool: &ValuePool,
+) -> RowDiff {
+    let mut diff = RowDiff::default();
+    for (rel, _) in schema.iter() {
+        let (old_len, new_len) = (old.rel_len(rel), new.rel_len(rel));
+        for row in 0..old_len.max(new_len) {
+            let tid = TupleId { rel, row };
+            let same = row < old_len
+                && row < new_len
+                && (0..new.arity(rel)).all(|col| {
+                    old_pool.translate(old.value_at(tid, col), new_pool)
+                        == Some(new.value_at(tid, col))
+                });
+            if !same {
+                if row < old_len {
+                    diff.old.push(tid);
+                }
+                if row < new_len {
+                    diff.new.push(tid);
+                }
+            }
+        }
     }
     diff
 }
@@ -302,11 +350,62 @@ source data:
         let mut out = String::new();
         for (rel, r) in p.mapping.target().iter() {
             for (tid, vals) in p.target.rel_tuples(rel) {
-                let vs: Vec<String> = vals.iter().map(|&v| canon_value(&p.pool, v)).collect();
+                let vs: Vec<String> = vals
+                    .iter()
+                    .map(|&v| format!("{v:?}:{}", p.pool.display(v)))
+                    .collect();
                 out.push_str(&format!("{}[{}]: {}\n", r.name(), tid.row, vs.join(", ")));
             }
         }
         out
+    }
+
+    #[test]
+    fn row_diff_is_position_sensitive_and_pool_aware() {
+        let mut t = Schema::new();
+        t.rel("T", &["a", "b"]);
+        let tr = t.rel_id("T").unwrap();
+        let mut old_pool = ValuePool::new();
+        let mut new_pool = ValuePool::new();
+
+        // Old: T(1, "x"), T(2, N). New pool interns in a different order,
+        // so raw ids differ while renders agree.
+        let mut old = Instance::new(&t);
+        let ox = old_pool.str("x");
+        let on = old_pool.named_null("N");
+        old.insert_ok(tr, &[Value::Int(1), ox]);
+        old.insert_ok(tr, &[Value::Int(2), on]);
+
+        let mut new = Instance::new(&t);
+        let _pad = new_pool.str("padding"); // shift symbol ids
+        let nx = new_pool.str("x");
+        let nn = new_pool.named_null("N");
+        new.insert_ok(tr, &[Value::Int(1), nx]);
+        new.insert_ok(tr, &[Value::Int(2), nn]);
+        let diff = target_row_diff(&t, &old, &old_pool, &new, &new_pool);
+        assert!(diff.old.is_empty() && diff.new.is_empty());
+
+        // A changed row 0 and an appended row 2 are both touched; the
+        // untouched row 1 is not.
+        new = Instance::new(&t);
+        new.insert_ok(tr, &[Value::Int(9), nx]);
+        new.insert_ok(tr, &[Value::Int(2), nn]);
+        new.insert_ok(tr, &[Value::Int(3), nx]);
+        let diff = target_row_diff(&t, &old, &old_pool, &new, &new_pool);
+        assert_eq!(diff.old, vec![TupleId { rel: tr, row: 0 }]);
+        assert_eq!(
+            diff.new,
+            vec![TupleId { rel: tr, row: 0 }, TupleId { rel: tr, row: 2 }]
+        );
+
+        // Int(5) never aliases Str("5").
+        let five = new_pool.str("5");
+        let mut a = Instance::new(&t);
+        a.insert_ok(tr, &[Value::Int(5), Value::Int(0)]);
+        let mut b = Instance::new(&t);
+        b.insert_ok(tr, &[five, Value::Int(0)]);
+        let diff = target_row_diff(&t, &a, &new_pool, &b, &new_pool);
+        assert!(!(diff.old.is_empty() && diff.new.is_empty()));
     }
 
     #[test]

@@ -21,14 +21,21 @@
 //! * `DropTgd` — removes the named dependency's logical unit, including its
 //!   continuation lines.
 //!
-//! Scenarios using xml sections or an explicit `target data:` section are
-//! rejected: edits require the solution to be chase-derived so the delta
-//! machinery can replay it.
+//! Sections, rows and dependency units are found through the loader's
+//! grammar API ([`routes_cli::loader`]), so the editor reads every line
+//! exactly as the re-parse will: two data lines name the same row iff
+//! their classified value tokens are equal. The only rule owned here is
+//! which sections reject edits — scenarios using xml sections or an
+//! explicit `target data:` section, since edits require the solution to be
+//! chase-derived so the delta machinery can replay it.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use routes_cli::loader::{load_scenario_str, LoadedScenario};
+use routes_cli::loader::{
+    classify_value, load_scenario_str, push_dependency_line, section_header, split_call,
+    split_values, strip_comment, LoadedScenario, Section, ValueToken,
+};
 use routes_store::EditOp;
 
 /// Why an edit batch was rejected. All variants map to a client error (the
@@ -75,197 +82,59 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// Which section a scenario line lives in. Mirrors the loader's section
-/// tracking (the subset edits support).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
-    None,
-    SourceSchema,
-    TargetSchema,
-    Dependencies,
-    SourceData,
-}
-
-/// Classify a comment-stripped, trimmed line as a section header, mirroring
-/// the loader. Returns `Err` for headers edits do not support.
-fn section_header(line: &str) -> Result<Option<Section>, EditError> {
-    let lowered = line.to_ascii_lowercase();
-    if !lowered.ends_with(':') {
-        return Ok(None);
-    }
-    match lowered.trim_end_matches(':') {
-        "source schema" => Ok(Some(Section::SourceSchema)),
-        "target schema" => Ok(Some(Section::TargetSchema)),
-        "dependencies" => Ok(Some(Section::Dependencies)),
-        "source data" => Ok(Some(Section::SourceData)),
-        "source xml schema" | "target xml schema" | "source xml data" => Err(
+/// The section a comment-stripped, trimmed line opens, by the loader's
+/// grammar. Headers of sections whose solution is not chase-derived are
+/// errors: edits replay the chase.
+fn edit_section(line: &str) -> Result<Option<Section>, EditError> {
+    match section_header(line) {
+        Some(Section::SourceXmlSchema | Section::TargetXmlSchema | Section::SourceXmlData) => Err(
             EditError::Unsupported("xml scenarios cannot be edited".into()),
         ),
-        "target data" => Err(EditError::Unsupported(
+        Some(Section::TargetData) => Err(EditError::Unsupported(
             "scenarios with explicit target data cannot be edited (the solution must be chased)"
                 .into(),
         )),
-        _ => Ok(None),
+        other => Ok(other),
     }
 }
 
-/// `#` starts a comment unless inside a quoted string (loader rule).
-fn strip_comment(line: &str) -> &str {
-    let mut in_quote: Option<char> = None;
-    for (i, c) in line.char_indices() {
-        match (in_quote, c) {
-            (Some(q), c) if c == q => in_quote = None,
-            (None, '\'') | (None, '"') => in_quote = Some(c),
-            (None, '#') => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Split `Name( inner )` (loader rule).
-fn split_call(line: &str) -> Option<(&str, &str)> {
-    let open = line.find('(')?;
-    let close = line.rfind(')')?;
-    if close < open || !line[close + 1..].trim().is_empty() {
-        return None;
-    }
-    let name = line[..open].trim();
-    if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return None;
-    }
-    Some((name, &line[open + 1..close]))
-}
-
-/// Split on commas outside quotes (loader rule).
-fn split_values(inner: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut in_quote: Option<char> = None;
-    for (i, c) in inner.char_indices() {
-        match (in_quote, c) {
-            (Some(q), c) if c == q => in_quote = None,
-            (None, '\'') | (None, '"') => in_quote = Some(c),
-            (None, ',') => {
-                out.push(&inner[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&inner[start..]);
-    out
-}
-
-/// Canonicalize one data-value token with the loader's value syntax, tagged
-/// by type so `5`, `'5'`, and a null labeled `5x` can never alias:
-/// `i:` integers, `s:` string constants, `n:` labeled nulls.
-fn canon_token(token: &str) -> Option<String> {
-    let token = token.trim();
-    if token.is_empty() {
-        return None;
-    }
-    if let Ok(n) = token.parse::<i64>() {
-        return Some(format!("i:{n}"));
-    }
-    let chars: Vec<char> = token.chars().collect();
-    if chars.len() >= 2
-        && (chars[0] == '\'' || chars[0] == '"')
-        && chars[chars.len() - 1] == chars[0]
-    {
-        let inner: String = chars[1..chars.len() - 1].iter().collect();
-        return Some(format!("s:{inner}"));
-    }
-    if chars[0].is_alphabetic() || chars[0] == '_' {
-        return Some(format!("n:{token}"));
-    }
-    None
-}
-
-/// Canonicalize a source-data line to `(relation, canonical row render)`.
-/// `None` when the line does not parse as a call (the loader would reject
-/// it; leave it in place for the final validation pass to report).
-pub(crate) fn canon_data_line(line: &str) -> Option<(String, String)> {
-    let (name, inner) = split_call(line)?;
-    let values: Option<Vec<String>> = split_values(inner).into_iter().map(canon_token).collect();
-    Some((name.to_owned(), values?.join(",")))
-}
-
-/// Per-line classification of a scenario document.
-struct Scan {
-    /// Section of each line (headers and blanks carry the section they
-    /// *introduce*/live in, but are not content).
-    section: Vec<Section>,
-    /// Whether the line is section content (non-blank, not a header).
-    content: Vec<bool>,
-    /// Comment-stripped, trimmed text of each line.
-    text: Vec<String>,
-}
-
-fn scan(lines: &[&str]) -> Result<Scan, EditError> {
+/// The content lines of a document as `(physical index, section,
+/// comment-stripped trimmed text)`: every line that is neither blank nor a
+/// section header.
+fn content_lines(lines: &[String]) -> Result<Vec<(usize, Section, &str)>, EditError> {
     let mut section = Section::None;
-    let mut out = Scan {
-        section: Vec::with_capacity(lines.len()),
-        content: Vec::with_capacity(lines.len()),
-        text: Vec::with_capacity(lines.len()),
-    };
-    for raw in lines {
-        let text = strip_comment(raw).trim().to_owned();
+    let mut out = Vec::new();
+    for (i, raw) in lines.iter().enumerate() {
+        let text = strip_comment(raw).trim();
         if text.is_empty() {
-            out.section.push(section);
-            out.content.push(false);
-            out.text.push(text);
             continue;
         }
-        if let Some(new_section) = section_header(&text)? {
-            section = new_section;
-            out.section.push(section);
-            out.content.push(false);
-            out.text.push(text);
-            continue;
+        match edit_section(text)? {
+            Some(opened) => section = opened,
+            None => out.push((i, section, text)),
         }
-        out.section.push(section);
-        out.content.push(true);
-        out.text.push(text);
     }
     Ok(out)
 }
 
-/// Group the dependencies-section lines of a scanned document into logical
-/// units using the loader's continuation rules. Returns `(merged text,
-/// physical line indices)` per unit, in document order.
-fn dependency_units(s: &Scan) -> Vec<(String, Vec<usize>)> {
-    let mut units: Vec<(String, Vec<usize>)> = Vec::new();
-    for i in 0..s.text.len() {
-        if !s.content[i] || s.section[i] != Section::Dependencies {
-            continue;
-        }
-        let line = &s.text[i];
-        let starts_continuation = line.starts_with("->")
-            || line.starts_with('→')
-            || line.starts_with('&')
-            || line.starts_with('∧');
-        let prev_incomplete = units
-            .last()
-            .is_some_and(|(prev, _): &(String, Vec<usize>)| {
-                let no_arrow = !prev.contains("->") && !prev.contains('→');
-                no_arrow
-                    || prev.trim_end().ends_with('&')
-                    || prev.trim_end().ends_with('∧')
-                    || prev.trim_end().ends_with("->")
-                    || prev.trim_end().ends_with('→')
-                    || prev.trim_end().ends_with(',')
-            });
-        match units.last_mut() {
-            Some((prev, idxs)) if starts_continuation || prev_incomplete => {
-                prev.push(' ');
-                prev.push_str(line);
-                idxs.push(i);
-            }
-            _ => units.push((line.clone(), vec![i])),
-        }
+/// A source-data line's relation and row key: its value tokens as the
+/// loader classifies them, so two lines share a key exactly when the
+/// loader reads them as the same tuple. `None` when the line is not a
+/// well-formed row (the final re-parse reports it).
+fn row_key(line: &str) -> Option<(&str, Vec<ValueToken<'_>>)> {
+    let (name, inner) = split_call(line)?;
+    let values = split_values(inner)
+        .into_iter()
+        .map(classify_value)
+        .collect::<Option<_>>()?;
+    Some((name, values))
+}
+
+/// Remove the given physical lines (ascending indices) from the document.
+fn remove_lines(lines: &mut Vec<String>, doomed: &[usize]) {
+    for &i in doomed.iter().rev() {
+        lines.remove(i);
     }
-    units
 }
 
 /// Apply one op to the document (a vector of owned lines).
@@ -282,64 +151,55 @@ fn apply_one(lines: &mut Vec<String>, op: &EditOp) -> Result<(), EditError> {
             Ok(())
         }
         EditOp::DeleteTuple { relation, row } => {
-            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-            let s = scan(&refs)?;
             // Distinct tuples of `relation` in first-occurrence order — the
-            // loader's instance assigns row ids in exactly this order.
-            let mut distinct: Vec<(String, Vec<usize>)> = Vec::new();
-            let mut by_render: HashMap<String, usize> = HashMap::new();
-            for i in 0..s.text.len() {
-                if !s.content[i] || s.section[i] != Section::SourceData {
+            // loader's instance assigns row ids in exactly this order — each
+            // with the lines spelling it.
+            let mut distinct: Vec<Vec<usize>> = Vec::new();
+            let mut by_key: HashMap<Vec<ValueToken<'_>>, usize> = HashMap::new();
+            for (i, section, text) in content_lines(lines)? {
+                if section != Section::SourceData {
                     continue;
                 }
-                let Some((rel, render)) = canon_data_line(&s.text[i]) else {
+                let Some((rel, key)) = row_key(text) else {
                     continue;
                 };
-                if rel != *relation {
+                if rel != relation.as_str() {
                     continue;
                 }
-                match by_render.get(&render) {
-                    Some(&k) => distinct[k].1.push(i),
-                    None => {
-                        by_render.insert(render.clone(), distinct.len());
-                        distinct.push((render, vec![i]));
-                    }
-                }
+                let k = *by_key.entry(key).or_insert_with(|| {
+                    distinct.push(Vec::new());
+                    distinct.len() - 1
+                });
+                distinct[k].push(i);
             }
             if distinct.is_empty() {
                 return Err(EditError::UnknownRelation(relation.clone()));
             }
-            let Some((_, victim_lines)) = distinct.get(*row as usize) else {
+            let Some(victim) = distinct.get(*row as usize).cloned() else {
                 return Err(EditError::RowOutOfRange {
                     relation: relation.clone(),
                     row: *row,
                     len: distinct.len() as u32,
                 });
             };
-            let mut doomed: Vec<usize> = victim_lines.clone();
-            doomed.sort_unstable();
-            for &i in doomed.iter().rev() {
-                lines.remove(i);
-            }
+            remove_lines(lines, &victim);
             Ok(())
         }
         EditOp::DropTgd { name } => {
-            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-            let s = scan(&refs)?;
-            let units = dependency_units(&s);
-            let unit = units.iter().find(|(merged, _)| {
-                merged
+            let mut units = Vec::new();
+            for (i, section, text) in content_lines(lines)? {
+                if section == Section::Dependencies {
+                    push_dependency_line(&mut units, text, i);
+                }
+            }
+            let Some(unit) = units.into_iter().find(|unit| {
+                unit.text
                     .split_once(':')
                     .is_some_and(|(n, _)| n.trim() == name)
-            });
-            let Some((_, idxs)) = unit else {
+            }) else {
                 return Err(EditError::UnknownTgd(name.clone()));
             };
-            let mut doomed = idxs.clone();
-            doomed.sort_unstable();
-            for &i in doomed.iter().rev() {
-                lines.remove(i);
-            }
+            remove_lines(lines, &unit.lines);
             Ok(())
         }
     }
@@ -352,10 +212,8 @@ fn apply_one(lines: &mut Vec<String>, op: &EditOp) -> Result<(), EditError> {
 pub fn apply_edits(text: &str, ops: &[EditOp]) -> Result<(String, LoadedScenario), EditError> {
     // Up-front structural gate (also catches unsupported sections the ops
     // never go near).
-    let lines: Vec<&str> = text.lines().collect();
-    scan(&lines)?;
-
-    let mut doc: Vec<String> = lines.iter().map(|&l| l.to_owned()).collect();
+    let mut doc: Vec<String> = text.lines().map(str::to_owned).collect();
+    content_lines(&doc)?;
     for op in ops {
         apply_one(&mut doc, op)?;
     }
@@ -516,10 +374,26 @@ source data:
     }
 
     #[test]
+    fn delete_tells_apart_rows_whose_joined_values_alias() {
+        let text = "source schema:\n  S(a, b)\ntarget schema:\n  T(a, b)\n\
+                    dependencies:\n  m: S(x, y) -> T(x, y)\n\
+                    source data:\n  S('a,s:b', 'c')\n  S('a', 'b,s:c')\n";
+        let delete = |row| EditOp::DeleteTuple {
+            relation: "S".into(),
+            row,
+        };
+        let (edited, loaded) = apply_edits(text, &[delete(1)]).unwrap();
+        assert!(edited.contains("S('a,s:b', 'c')") && !edited.contains("S('a', 'b,s:c')"));
+        assert_eq!(loaded.source.total_tuples(), 1);
+        let (edited, _) = apply_edits(text, &[delete(0)]).unwrap();
+        assert!(!edited.contains("S('a,s:b', 'c')") && edited.contains("S('a', 'b,s:c')"));
+    }
+
+    #[test]
     fn canon_tags_prevent_type_aliasing() {
-        assert_eq!(canon_data_line("S(5)"), Some(("S".into(), "i:5".into())));
-        assert_eq!(canon_data_line("S('5')"), Some(("S".into(), "s:5".into())));
-        assert_eq!(canon_data_line("S(n5)"), Some(("S".into(), "n:n5".into())));
-        assert_ne!(canon_data_line("S(5)"), canon_data_line("S('5')"));
+        assert_eq!(row_key("S(5)"), Some(("S", vec![ValueToken::Int(5)])));
+        assert_eq!(row_key("S('5')"), Some(("S", vec![ValueToken::Str("5")])));
+        assert_eq!(row_key("S(n5)"), Some(("S", vec![ValueToken::Null("n5")])));
+        assert_ne!(row_key("S(5)"), row_key("S('5')"));
     }
 }

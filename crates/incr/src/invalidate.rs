@@ -13,9 +13,10 @@
 //!   in the batch's *seed set* — the rhs images of homs anchored on
 //!   inserted source rows or changed/new target rows, i.e. every node that
 //!   may have gained a branch;
-//! * every raw `Value` stored in branch homs renders identically under the
-//!   old and new pools (pool interning is injective, so render-stability at
-//!   the same bits implies the fresh forest stores the same bits).
+//! * every raw `Value` stored in branch homs keeps its id across the pools:
+//!   translating it from the old pool into the new one
+//!   ([`ValuePool::translate`]) gives back the same value, so the fresh
+//!   forest stores the same bits.
 //!
 //! Branch *removal* needs no separate check: a removed branch referenced a
 //! tuple that changed, which already trips the conditions above. With all
@@ -26,25 +27,9 @@
 use std::collections::HashSet;
 
 use routes_core::RouteForest;
-use routes_model::{Instance, Side, TupleId, Value, ValuePool};
+use routes_model::{Instance, Side, TupleId, ValuePool};
 
 use crate::apply::EditApply;
-
-/// Whether a raw value renders identically under both pools (with bounds
-/// guards: a symbol or null id the new pool never interned fails cheaply).
-fn value_stable(old_pool: &ValuePool, new_pool: &ValuePool, v: Value) -> bool {
-    match v {
-        Value::Int(_) => true,
-        Value::Str(s) => {
-            (s.0 as usize) < new_pool.num_strings()
-                && old_pool.value_to_string(v) == new_pool.value_to_string(v)
-        }
-        Value::Null(n) => {
-            (n.0 as usize) < new_pool.num_nulls()
-                && old_pool.value_to_string(v) == new_pool.value_to_string(v)
-        }
-    }
-}
 
 /// Whether `forest` (built before the batch) is still byte-identical to
 /// what a fresh computation over `apply.scenario` would produce.
@@ -85,10 +70,12 @@ pub fn forest_survives(
                     return false;
                 }
             }
+            // The fresh forest would store the same raw value only if the
+            // new pool gives the value's meaning the same id.
             if !branch
                 .hom
                 .iter()
-                .all(|&v| value_stable(old_pool, new_pool, v))
+                .all(|&v| old_pool.translate(v, new_pool) == Some(v))
             {
                 return false;
             }

@@ -40,13 +40,6 @@ pub struct IncrState {
     pub memos: HashMap<String, TgdMemo>,
 }
 
-impl IncrState {
-    /// Total memoized match count (for reporting).
-    pub fn total_matches(&self) -> usize {
-        self.memos.values().map(|m| m.vectors.len()).sum()
-    }
-}
-
 /// The image row of `atom` under total-on-lhs bindings `b`, recovered via
 /// the instance's dedup table. Panics if `b` does not ground the atom or the
 /// image tuple is absent — both impossible for bindings produced by matching

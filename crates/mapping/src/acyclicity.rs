@@ -1,6 +1,6 @@
 //! Weak acyclicity: the classic static test guaranteeing chase termination
 //! (Fagin, Kolaitis, Miller, Popa — the data-exchange framework the paper
-//! builds on, its reference [8]).
+//! builds on, its reference \[8\]).
 //!
 //! Build the *dependency graph* over target **positions** (relation,
 //! column): for every target tgd `∀x φ(x) → ∃y ψ(x, y)` and every universal

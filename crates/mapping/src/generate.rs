@@ -6,7 +6,7 @@
 //! interprets these value correspondences into s-t tgds" (paper §2). This
 //! module implements that interpretation for the relational case, following
 //! the logical-association scheme of Popa et al. (*Translating Web Data*,
-//! the paper's reference [18]):
+//! the paper's reference \[18\]):
 //!
 //! 1. Every relation anchors a **logical association**: the relation plus
 //!    the chase of the schema's foreign keys (each child atom joined to its

@@ -148,6 +148,22 @@ impl ValuePool {
         self.null_labels.len()
     }
 
+    /// The value of `into` with the same meaning as `v` of this pool — the
+    /// same integer, the same string, or the null with the same label — or
+    /// `None` when `into` holds no such value. Ids are per pool, so this is
+    /// how values compare across two pools (e.g. a scenario before and
+    /// after an edit re-parses it). Allocation-free.
+    pub fn translate(&self, v: Value, into: &ValuePool) -> Option<Value> {
+        match v {
+            Value::Int(_) => Some(v),
+            Value::Str(s) => into.lookup(self.resolve(s)).map(Value::Str),
+            Value::Null(n) => into
+                .by_null_label
+                .get(self.null_label(n))
+                .map(|&id| Value::Null(id)),
+        }
+    }
+
     /// Render a value as a human-readable string.
     pub fn value_to_string(&self, v: Value) -> String {
         match v {
@@ -241,6 +257,26 @@ mod tests {
         assert_eq!(pool.display(Value::Int(5)).to_string(), "5");
         assert_eq!(pool.display(s).to_string(), "hello");
         assert_eq!(pool.display(n).to_string(), "N7");
+    }
+
+    #[test]
+    fn translate_matches_by_meaning_not_id() {
+        let mut old = ValuePool::new();
+        let mut new = ValuePool::new();
+        let _pad = new.str("padding"); // shift symbol ids
+        let (ox, on) = (old.str("x"), old.named_null("N"));
+        let (nx, nn) = (new.str("x"), new.named_null("N"));
+        assert_ne!(ox, nx);
+        assert_eq!(old.translate(ox, &new), Some(nx));
+        assert_eq!(old.translate(on, &new), Some(nn));
+        assert_eq!(old.translate(Value::Int(5), &new), Some(Value::Int(5)));
+        // A string and a null with the same text never alias, and values
+        // the other pool never interned have no translation.
+        let five = old.str("5");
+        let n5 = old.named_null("x");
+        assert_eq!(old.translate(five, &new), None);
+        assert_eq!(old.translate(n5, &new), None);
+        assert_eq!(new.translate(nx, &old), Some(ox));
     }
 
     #[test]

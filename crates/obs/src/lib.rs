@@ -3,7 +3,7 @@
 //!
 //! Small pieces, each usable on its own:
 //!
-//! * [`log`] — leveled structured logging: one JSON object per line on
+//! * [`mod@log`] — leveled structured logging: one JSON object per line on
 //!   stderr, filtered by `ROUTES_LOG` / [`log::set_level`]. Log lines
 //!   automatically carry the emitting thread's trace ID.
 //! * [`trace`] — span-based request tracing: deterministic SplitMix64

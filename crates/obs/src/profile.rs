@@ -11,7 +11,7 @@
 //!
 //! ## Overhead discipline
 //!
-//! The global [`enabled`] flag gates every hook: disabled (the default),
+//! The global enabled flag ([`profiler_enabled`]) gates every hook: disabled (the default),
 //! [`push_frame`] is one relaxed atomic load and nothing else — no clock
 //! read, no allocation, no lock. Enabled, a push/pop is one thread-local
 //! access plus one uncontended mutex lock on the thread's own stack;

@@ -26,12 +26,13 @@
 //!   valid on the core is therefore step-for-step valid on the unminimized
 //!   instance, which is what makes core mode safe to debug against.
 //!
-//! The search is backtracking over live rows, modeled on
-//! `routes_chase::hom` but extended with the frozen-null set and a
-//! forbidden-row set (so no per-candidate instance copies are made).
+//! The search is [`routes_chase::hom::search`] with the frozen nulls as its
+//! rigid set and the removed rows as its excluded set (so no per-candidate
+//! instance copies are made).
 
 use std::collections::{HashMap, HashSet};
 
+use routes_chase::hom::search;
 use routes_model::{Instance, NullId, Schema, TupleId, Value};
 
 /// Result of a [`core_minimize`] run.
@@ -134,88 +135,7 @@ fn retracts_without(
     let mut tuples = Vec::with_capacity(all.len() - dead.len() + 1);
     tuples.push(cand);
     tuples.extend(all.iter().copied().filter(|t| !dead.contains(t)));
-    let mut mapping: HashMap<NullId, Value> = HashMap::new();
-    search(target, &tuples, dead, frozen, 0, &mut mapping)
-}
-
-fn resolve(v: Value, frozen: &HashSet<NullId>, mapping: &HashMap<NullId, Value>) -> Option<Value> {
-    match v {
-        Value::Null(n) if !frozen.contains(&n) => mapping.get(&n).copied(),
-        rigid => Some(rigid),
-    }
-}
-
-fn search(
-    target: &Instance,
-    tuples: &[TupleId],
-    dead: &HashSet<TupleId>,
-    frozen: &HashSet<NullId>,
-    depth: usize,
-    mapping: &mut HashMap<NullId, Value>,
-) -> bool {
-    let Some(&tid) = tuples.get(depth) else {
-        return true;
-    };
-    let values = target.tuple(tid);
-
-    // Probe on the most selective already-determined column, else scan.
-    let mut best: Option<(u32, Value, usize)> = None;
-    for (col, &v) in values.iter().enumerate() {
-        let Some(image) = resolve(v, frozen, mapping) else {
-            continue;
-        };
-        let len = target.probe_len(tid.rel, col as u32, image);
-        if best.is_none_or(|(_, _, blen)| len < blen) {
-            best = Some((col as u32, image, len));
-        }
-    }
-    let mut candidates = Vec::new();
-    match best {
-        Some((col, image, _)) => target.probe_into(tid.rel, col, image, &mut candidates),
-        None => candidates.extend(0..target.rel_len(tid.rel)),
-    }
-
-    'rows: for row in candidates {
-        let image_id = TupleId { rel: tid.rel, row };
-        if dead.contains(&image_id) {
-            continue;
-        }
-        let image = target.tuple(image_id);
-        let mut bound_here: Vec<NullId> = Vec::new();
-        for (col, &v) in values.iter().enumerate() {
-            match v {
-                Value::Null(n) if !frozen.contains(&n) => match mapping.get(&n) {
-                    Some(&img) => {
-                        if img != image[col] {
-                            for b in bound_here.drain(..) {
-                                mapping.remove(&b);
-                            }
-                            continue 'rows;
-                        }
-                    }
-                    None => {
-                        mapping.insert(n, image[col]);
-                        bound_here.push(n);
-                    }
-                },
-                rigid => {
-                    if rigid != image[col] {
-                        for b in bound_here.drain(..) {
-                            mapping.remove(&b);
-                        }
-                        continue 'rows;
-                    }
-                }
-            }
-        }
-        if search(target, tuples, dead, frozen, depth + 1, mapping) {
-            return true;
-        }
-        for b in bound_here {
-            mapping.remove(&b);
-        }
-    }
-    false
+    search(target, target, &tuples, frozen, dead, &mut HashMap::new())
 }
 
 #[cfg(test)]

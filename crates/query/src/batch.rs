@@ -12,7 +12,7 @@
 //! amortizing everything the lazy iterator pays per binding:
 //!
 //! - **Compiled stages.** The pipeline classifies each planned atom against
-//!   the bound-variable set *once* ([`compile`]): key columns, residual
+//!   the bound-variable set *once* (`compile`): key columns, residual
 //!   checks, output layout, and the access path are all fixed before the
 //!   first row flows. Morsels reuse per-depth output buffers, so the steady
 //!   state allocates nothing.

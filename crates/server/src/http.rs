@@ -121,10 +121,6 @@ impl TimedStream {
         self.per_read = per_read;
         self.deadline = deadline;
     }
-
-    pub fn get_ref(&self) -> &TcpStream {
-        &self.stream
-    }
 }
 
 impl Read for TimedStream {

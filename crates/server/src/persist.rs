@@ -33,15 +33,10 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use routes_chase::ChaseOptions;
-use routes_cli::{
-    is_pipeline_scenario, load_pipeline_str, load_scenario_str, prepare_pipeline,
-    prepare_scenario_with,
-};
 use routes_pool::Pool;
 use routes_store::{ChaseMode, Durability, PersistMetrics, Record, StoreDir, Wal};
 
-use crate::session::{PreparedSession, SessionStore};
+use crate::session::{LoadedText, PreparedSession, SessionStore};
 
 /// Environment variable naming the data directory (`--data-dir` wins).
 pub const DATA_DIR_ENV: &str = "ROUTES_DATA_DIR";
@@ -86,19 +81,9 @@ pub struct Persistence {
 /// skew) drops the session rather than failing recovery; the store logs
 /// each drop and [`PersistMetrics::recovery_dropped`] counts them.
 fn reprepare(text: &str, chase: ChaseMode, pool: &Pool) -> Result<PreparedSession, String> {
-    let options = match chase {
-        ChaseMode::Fresh => ChaseOptions::fresh(),
-        ChaseMode::Skolem => ChaseOptions::skolem(),
-    };
-    if is_pipeline_scenario(text) {
-        let loaded = load_pipeline_str(text).map_err(|e| e.to_string())?;
-        let (scenario, pipeline) =
-            prepare_pipeline(loaded, options, pool).map_err(|e| e.to_string())?;
-        return Ok((scenario, Some(Arc::new(pipeline))));
-    }
-    let loaded = load_scenario_str(text).map_err(|e| e.to_string())?;
-    let scenario = prepare_scenario_with(loaded, options, pool).map_err(|e| e.to_string())?;
-    Ok((scenario, None))
+    LoadedText::load(text)
+        .map_err(|e| e.to_string())?
+        .prepare(chase, pool)
 }
 
 impl Persistence {

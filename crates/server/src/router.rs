@@ -33,14 +33,10 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use routes_chase::{ChaseOptions, ChaseStats, TgdStats};
-use routes_cli::{
-    is_pipeline_scenario, load_pipeline_str, load_scenario_str, prepare_pipeline,
-    prepare_scenario_with,
-};
+use routes_chase::{ChaseStats, TgdStats};
 use routes_core::{compute_one_route, RouteForest};
 use routes_model::TupleId;
-use routes_pipeline::{stitch_route, StitchError};
+use routes_pipeline::{stitch_route, PreparedPipeline, StitchError};
 use routes_pool::Pool;
 
 use routes_store::{ChaseMode, Durability, EditOp, Record};
@@ -50,7 +46,9 @@ use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{Metrics, Phase};
 use crate::persist::Persistence;
-use crate::session::{Removal, Session, SessionLookup, SessionOrigin, SessionStore};
+use crate::session::{
+    chase_options, LoadedText, Removal, Session, SessionLookup, SessionOrigin, SessionStore,
+};
 
 /// The shared application state every worker thread serves from.
 pub struct App {
@@ -489,6 +487,12 @@ impl App {
         }
     }
 
+    /// `POST /sessions`: load the text (flat or pipeline, by its syntax),
+    /// chase it — every hop of a pipeline, core minimization included when
+    /// the text asks for it — and store the session. A pipeline keeps its
+    /// full chain for stitched routes beside the final hop's flat view.
+    /// Load and chase failures answer 422; the WAL record is `(text,
+    /// chase)` either way, which replays the whole session.
     fn create_session(&self, req: &Request) -> Response {
         let body = match parse_body(req) {
             Ok(b) => b,
@@ -502,36 +506,40 @@ impl App {
             Some("skolem") => ChaseMode::Skolem,
             Some(_) => return Response::error(422, "`chase` must be \"fresh\" or \"skolem\""),
         };
-        let options = match chase_mode {
-            ChaseMode::Fresh => ChaseOptions::fresh(),
-            ChaseMode::Skolem => ChaseOptions::skolem(),
-        };
-        if is_pipeline_scenario(text) {
-            return self.create_pipeline_session(text, chase_mode, options);
-        }
-        let loaded = match load_scenario_str(text) {
+        let loaded = match LoadedText::load(text) {
             Ok(l) => l,
             Err(e) => return Response::error(422, &format!("scenario does not load: {e}")),
         };
-        let prepared = {
+        let (scenario, pipeline) = {
             let _span = routes_obs::span("chase");
-            match prepare_scenario_with(loaded, options, &self.pool) {
+            match loaded.prepare(chase_mode, &self.pool) {
                 Ok(p) => p,
                 Err(e) => return Response::error(422, &format!("chase failed: {e}")),
             }
         };
-        if let Some(wall) = prepared.chase_wall {
+        if let Some(wall) = scenario.chase_wall {
             self.metrics.record_phase(Phase::Chase, wall);
         }
-        let weakly_acyclic = prepared.weakly_acyclic;
-        let stats = prepared.chase_stats.clone();
-        let source_tuples = prepared.source.total_tuples();
-        let target_tuples = prepared.target.total_tuples();
+        let summary = [
+            ("source_tuples", Json::from(scenario.source.total_tuples())),
+            ("target_tuples", Json::from(scenario.target.total_tuples())),
+            ("weakly_acyclic", Json::from(scenario.weakly_acyclic)),
+            (
+                "chase",
+                scenario
+                    .chase_stats
+                    .as_ref()
+                    .map_or(Json::Null, chase_stats_json),
+            ),
+        ];
+        let chain = pipeline.clone();
         let origin = SessionOrigin {
             chase: chase_mode,
             text: std::sync::Arc::from(text),
         };
-        let (id, evicted) = self.store.insert_with_origin(prepared, origin, &self.pool);
+        let (id, evicted) = self
+            .store
+            .insert_prepared(scenario, pipeline, origin, &self.pool);
         // Mutation first, WAL second (see `persist`): evictions ride the
         // create's group commit, and a failed fsync refuses the ack — the
         // client must never hold a 201 a crash would take back.
@@ -550,81 +558,24 @@ impl App {
         self.metrics
             .sessions_evicted
             .fetch_add(evicted.len() as u64, Relaxed);
-        Response::json(
-            201,
-            Json::obj([
-                ("session", Json::from(id)),
-                ("source_tuples", Json::from(source_tuples)),
-                ("target_tuples", Json::from(target_tuples)),
-                ("weakly_acyclic", Json::from(weakly_acyclic)),
-                ("chase", stats.map_or(Json::Null, |s| chase_stats_json(&s))),
-                (
-                    "evicted",
-                    Json::Array(evicted.into_iter().map(Json::from).collect()),
-                ),
-            ])
-            .encode(),
-        )
+        let mut fields = vec![("session", Json::from(id))];
+        fields.extend(summary);
+        if let Some(chain) = chain {
+            fields.push(("pipeline", self.count_pipeline_create(&chain)));
+        }
+        fields.push((
+            "evicted",
+            Json::Array(evicted.into_iter().map(Json::from).collect()),
+        ));
+        Response::json(201, Json::obj(fields).encode())
     }
 
-    /// The pipeline arm of `POST /sessions`: chase the stage chain (core
-    /// minimization per hop when the text asked for it), store the final
-    /// hop as the session's flat view, and keep the full chain for
-    /// stitched end-to-end routes. Load and chase failures answer 422
-    /// exactly like the flat path; the WAL record is unchanged (`(text,
-    /// chase)` replays the whole chain, core mode included).
-    fn create_pipeline_session(
-        &self,
-        text: &str,
-        chase_mode: ChaseMode,
-        options: ChaseOptions,
-    ) -> Response {
-        let loaded = match load_pipeline_str(text) {
-            Ok(l) => l,
-            Err(e) => return Response::error(422, &format!("scenario does not load: {e}")),
-        };
-        let (scenario, pipeline) = {
-            let _span = routes_obs::span("chase");
-            match prepare_pipeline(loaded, options, &self.pool) {
-                Ok(p) => p,
-                Err(e) => return Response::error(422, &format!("chase failed: {e}")),
-            }
-        };
-        self.metrics.record_phase(Phase::Chase, pipeline.chase_wall);
-        let hops = pipeline.hops();
-        let core_mode = pipeline.pipeline.core_mode();
-        let (core_before, core_after) = pipeline.core_shrink();
-        let stage_names: Vec<Json> = pipeline
-            .stages
-            .iter()
-            .map(|s| Json::from(s.name.as_str()))
-            .collect();
-        let weakly_acyclic = pipeline.weakly_acyclic;
-        let stats = scenario.chase_stats.clone();
-        let source_tuples = scenario.source.total_tuples();
-        let target_tuples = scenario.target.total_tuples();
-        let origin = SessionOrigin {
-            chase: chase_mode,
-            text: std::sync::Arc::from(text),
-        };
-        let (id, evicted) =
-            self.store
-                .insert_prepared(scenario, Some(Arc::new(pipeline)), origin, &self.pool);
-        for &gone in &evicted {
-            self.log_relaxed(Record::Evict { id: gone });
-        }
-        if let Err(e) = self.log_synced(Record::Create {
-            id,
-            chase: chase_mode,
-            scenario: text.to_owned(),
-        }) {
-            self.store.remove(id);
-            return Response::error(500, &format!("session not persisted: {e}"));
-        }
-        self.metrics.sessions_created.fetch_add(1, Relaxed);
-        self.metrics
-            .sessions_evicted
-            .fetch_add(evicted.len() as u64, Relaxed);
+    /// Count a created pipeline session in `/metrics` and summarize its
+    /// chain for the create response.
+    fn count_pipeline_create(&self, chain: &PreparedPipeline) -> Json {
+        let hops = chain.hops();
+        let core_mode = chain.pipeline.core_mode();
+        let (core_before, core_after) = chain.core_shrink();
         self.metrics.pipeline_sessions_created.fetch_add(1, Relaxed);
         self.metrics
             .pipeline_stage_chases
@@ -637,31 +588,14 @@ impl App {
                 .pipeline_core_tuples_removed
                 .fetch_add((core_before - core_after) as u64, Relaxed);
         }
-        Response::json(
-            201,
-            Json::obj([
-                ("session", Json::from(id)),
-                ("source_tuples", Json::from(source_tuples)),
-                ("target_tuples", Json::from(target_tuples)),
-                ("weakly_acyclic", Json::from(weakly_acyclic)),
-                ("chase", stats.map_or(Json::Null, |s| chase_stats_json(&s))),
-                (
-                    "pipeline",
-                    Json::obj([
-                        ("hops", Json::from(hops)),
-                        ("stages", Json::Array(stage_names)),
-                        ("core", Json::from(core_mode)),
-                        ("core_tuples_before", Json::from(core_before)),
-                        ("core_tuples_after", Json::from(core_after)),
-                    ]),
-                ),
-                (
-                    "evicted",
-                    Json::Array(evicted.into_iter().map(Json::from).collect()),
-                ),
-            ])
-            .encode(),
-        )
+        let stages = chain.stages.iter().map(|s| Json::from(s.name.as_str()));
+        Json::obj([
+            ("hops", Json::from(hops)),
+            ("stages", Json::Array(stages.collect())),
+            ("core", Json::from(core_mode)),
+            ("core_tuples_before", Json::from(core_before)),
+            ("core_tuples_after", Json::from(core_after)),
+        ])
     }
 
     /// `POST /sessions/{id}/stitched-route`: an end-to-end route for
@@ -789,10 +723,7 @@ impl App {
             self.metrics.edits_rejected.fetch_add(1, Relaxed);
             return Response::error(409, "pipeline sessions do not support edits");
         }
-        let options = match origin.chase {
-            ChaseMode::Fresh => ChaseOptions::fresh(),
-            ChaseMode::Skolem => ChaseOptions::skolem(),
-        };
+        let options = chase_options(origin.chase);
         let edit_start = Instant::now();
         let apply = {
             let _span = routes_obs::span("edit");

@@ -34,8 +34,8 @@
 //! closes the queue. Workers then drain the queue — already-admitted
 //! clients are served, not dropped — finish in-flight requests (their
 //! responses carry `connection: close`), and idle keep-alive
-//! connections close cleanly at a request boundary within
-//! [`IDLE_POLL`]. `run` joins everything; once it returns the listener
+//! connections close cleanly at a request boundary within the idle
+//! poll interval (200 ms). `run` joins everything; once it returns the listener
 //! is gone, so post-drain connects are refused.
 
 use std::collections::VecDeque;

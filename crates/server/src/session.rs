@@ -68,8 +68,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use routes_chase::ChaseStats;
-use routes_cli::PreparedScenario;
+use routes_chase::{ChaseOptions, ChaseStats};
+use routes_cli::{
+    is_pipeline_scenario, load_pipeline_str, load_scenario_str, prepare_pipeline,
+    prepare_scenario_with, LoadedPipeline, LoadedScenario, LoaderError, PreparedScenario,
+};
 use routes_core::{RouteEnv, RouteForest};
 use routes_incr::IncrState;
 use routes_model::{RelId, TupleId};
@@ -110,6 +113,51 @@ pub struct SessionOrigin {
 /// multi-stage syntax. Core mode rides in the scenario text, so `(text,
 /// chase)` stays a complete recipe for pipeline sessions too.
 pub type PreparedSession = (PreparedScenario, Option<Arc<PreparedPipeline>>);
+
+/// The chase options a session's chase mode stands for.
+pub(crate) fn chase_options(mode: ChaseMode) -> ChaseOptions {
+    match mode {
+        ChaseMode::Fresh => ChaseOptions::fresh(),
+        ChaseMode::Skolem => ChaseOptions::skolem(),
+    }
+}
+
+/// Scenario text parsed by the loader its syntax selects: the pipeline
+/// loader for `stage <name>:` / `pipeline:` text, the flat one otherwise.
+pub(crate) enum LoadedText {
+    /// A single-mapping scenario (boxed: it is the larger variant).
+    Flat(Box<LoadedScenario>),
+    /// A multi-stage pipeline scenario.
+    Pipeline(LoadedPipeline),
+}
+
+impl LoadedText {
+    /// Parse session text (see [`is_pipeline_scenario`]).
+    pub(crate) fn load(text: &str) -> Result<LoadedText, LoaderError> {
+        if is_pipeline_scenario(text) {
+            load_pipeline_str(text).map(LoadedText::Pipeline)
+        } else {
+            load_scenario_str(text).map(|loaded| LoadedText::Flat(Box::new(loaded)))
+        }
+    }
+
+    /// Chase the scenario (every hop of a pipeline) under `mode`.
+    pub(crate) fn prepare(
+        self,
+        mode: ChaseMode,
+        workers: &Pool,
+    ) -> Result<PreparedSession, String> {
+        let options = chase_options(mode);
+        match self {
+            LoadedText::Flat(loaded) => prepare_scenario_with(*loaded, options, workers)
+                .map(|scenario| (scenario, None))
+                .map_err(|e| e.to_string()),
+            LoadedText::Pipeline(loaded) => prepare_pipeline(loaded, options, workers)
+                .map(|(scenario, pipeline)| (scenario, Some(Arc::new(pipeline))))
+                .map_err(|e| e.to_string()),
+        }
+    }
+}
 
 /// One loaded scenario with its chased (or supplied) solution.
 pub struct Session {
@@ -1085,11 +1133,11 @@ impl SessionStore {
                     // Idempotent by sequence number: a snapshot taken after
                     // the batch already reflects it, so replaying on top
                     // would double-apply. Replay re-edits the canonical text
-                    // and re-prepares from scratch — recovery optimizes for
-                    // correctness, not latency; the chase is deterministic,
-                    // so the result matches the live incremental apply byte
-                    // for byte. Memos restart empty and forests re-warm
-                    // from later `Forest` records.
+                    // and chases its parse from scratch — recovery optimizes
+                    // for correctness, not latency; the chase is
+                    // deterministic, so the result matches the live
+                    // incremental apply byte for byte. Memos restart empty
+                    // and forests re-warm from later `Forest` records.
                     let shard = &self.shards[self.shard_of(*id)];
                     let session = shard
                         .read_locked()
@@ -1107,8 +1155,12 @@ impl SessionStore {
                     // incarnation never carries a pipeline.
                     let edited = routes_incr::apply_edits(&origin.text, ops)
                         .map_err(|e| e.to_string())
-                        .and_then(|(text, _)| Ok((prepare(&text, origin.chase)?, text)));
-                    let ((prep, _), text) = match edited {
+                        .and_then(|(text, loaded)| {
+                            prepare_scenario_with(loaded, chase_options(origin.chase), workers)
+                                .map(|prep| (prep, text))
+                                .map_err(|e| e.to_string())
+                        });
+                    let (prep, text) = match edited {
                         Ok(edited) => edited,
                         Err(error) => {
                             dropped += 1;

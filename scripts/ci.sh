@@ -10,6 +10,10 @@ cargo build --release --workspace --offline
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Documentation gate: every intra-doc link must resolve, unambiguously,
+# to an item the public docs can show.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Benchmark-harness gate: perfbench is its own workspace, so the steps
 # above never compile it, yet it calls the server's and the route core's
 # public API. Build and test it where `perfbench/run.sh` builds it;

@@ -187,6 +187,178 @@ fn campaign_matches_full_rechase_at_every_prefix() {
     }
 }
 
+/// Constants that alias under any rendering that joins a row's values with
+/// `,` or tags them by a prefix: `'a,s:b'`/`'c'` against `'a'`/`'b,s:c'`,
+/// a quoted `#`, `'i:5'`, and `5` / `'5'` / the labeled null `n5`.
+const ALIASED_SCENARIO: &str = "\
+source schema:
+  S(a, b)
+  M(a)
+target schema:
+  T(a, b)
+  U(a, b)
+  V(a)
+dependencies:
+  ex: S(x, y) -> exists W: T(x, W) & U(W, y)
+  cp: M(x) -> V(x)
+  tv: U(w, y) -> V(y)
+source data:
+  S('a,s:b', 'c')
+  S('a', 'b,s:c')
+  S(\"x#y\", 'i:5')   # the quoted # is data, this one a comment
+  S(5, '5')
+  S(n5, 5)
+  M('5')
+  M(5)
+  M(n5)
+";
+
+/// The rows of source relation `rel` as data lines, strings single-quoted
+/// so that every row spells its type.
+fn source_lines(p: &PreparedScenario, rel: &str) -> Vec<String> {
+    let id = p.mapping.source().rel_id(rel).expect("source relation");
+    p.source
+        .rel_tuples(id)
+        .map(|(_, vals)| {
+            let vs: Vec<String> = vals
+                .iter()
+                .map(|&v| match v {
+                    routes_model::Value::Str(s) => format!("'{}'", p.pool.resolve(s)),
+                    _ => p.pool.value_to_string(v),
+                })
+                .collect();
+            format!("{rel}({})", vs.join(", "))
+        })
+        .collect()
+}
+
+#[test]
+fn aliased_rows_stay_distinct_through_edits() {
+    use routes_store::EditOp;
+    let del = |relation: &str, row: u32| EditOp::DeleteTuple {
+        relation: relation.to_owned(),
+        row,
+    };
+    let ins = |line: &str| EditOp::InsertTuple {
+        line: line.to_owned(),
+    };
+    let batches: Vec<Vec<EditOp>> = vec![
+        vec![ins("M('c')")], // warms every memo
+        vec![del("S", 1)],   // S('a', 'b,s:c')
+        vec![ins("S('a', 'b,s:c')")],
+        vec![del("S", 0)], // S('a,s:b', 'c')
+        vec![ins("S('a,s:b', 'c')")],
+        vec![del("S", 0)], // S('x#y', 'i:5')
+        vec![ins("S('x#y', 'i:5')"), del("M", 0)],
+        vec![del("S", 0), del("S", 0)], // S(5, '5'), then S(n5, 5)
+        vec![ins("S(5, '5')"), ins("S(n5, 5)"), ins("M('5')")],
+        vec![EditOp::AddTgd {
+            line: "g0: S(x, y) -> exists Z: U(Z, x)".to_owned(),
+        }],
+        vec![EditOp::DropTgd {
+            name: "g0".to_owned(),
+        }],
+    ];
+    let workers = Pool::new(1);
+    let mut text = ALIASED_SCENARIO.to_owned();
+    let mut scenario = prepare(&text, &workers);
+    assert_eq!(
+        source_lines(&scenario, "S").len(),
+        5,
+        "five distinct S rows"
+    );
+    let mut state = IncrState::default();
+    let mut cache: HashMap<Vec<TupleId>, RouteForest> = selections(&scenario)
+        .into_iter()
+        .map(|sel| {
+            let f = forest_for(&scenario, &sel);
+            (sel, f)
+        })
+        .collect();
+    for (k, ops) in batches.iter().enumerate() {
+        // What the batch must do to the source rows: deletes remove the
+        // row-th distinct row, inserts append rows not yet present.
+        let mut expected: HashMap<&str, Vec<String>> = ["S", "M"]
+            .into_iter()
+            .map(|rel| (rel, source_lines(&scenario, rel)))
+            .collect();
+        for op in ops {
+            match op {
+                EditOp::DeleteTuple { relation, row } => {
+                    expected
+                        .get_mut(relation.as_str())
+                        .unwrap()
+                        .remove(*row as usize);
+                }
+                EditOp::InsertTuple { line } => {
+                    let relation = line.split('(').next().unwrap();
+                    let rows = expected.get_mut(relation).unwrap();
+                    if !rows.contains(line) {
+                        rows.push(line.clone());
+                    }
+                }
+                _ => {}
+            }
+        }
+        let apply = apply_batch(
+            &text,
+            &scenario,
+            &state,
+            ops,
+            ChaseOptions::fresh(),
+            &workers,
+        )
+        .unwrap_or_else(|e| panic!("batch {k}: {e}"));
+        for (rel, rows) in &expected {
+            assert_eq!(
+                &source_lines(&apply.scenario, rel),
+                rows,
+                "batch {k}: source relation {rel}"
+            );
+        }
+
+        let fresh = prepare(&apply.text, &workers);
+        assert_eq!(
+            dump_instance(
+                apply.scenario.mapping.target(),
+                &apply.scenario.target,
+                &apply.scenario.pool
+            ),
+            dump_instance(fresh.mapping.target(), &fresh.target, &fresh.pool),
+            "batch {k}: target instance diverged"
+        );
+        assert_eq!(
+            apply.scenario.chase_stats, fresh.chase_stats,
+            "batch {k}: chase stats (per-tgd included) diverged"
+        );
+        assert_eq!(
+            apply.scenario.pool.num_nulls(),
+            fresh.pool.num_nulls(),
+            "batch {k}: null pool diverged"
+        );
+        let keep = surviving_selections(cache.iter(), &apply, &scenario.pool);
+        let mut next_cache: HashMap<Vec<TupleId>, RouteForest> = HashMap::new();
+        for sel in keep {
+            let survivor = cache.remove(&sel).expect("kept selections are cached");
+            assert_eq!(
+                dump_forest(&survivor, &apply.scenario.pool),
+                dump_forest(&forest_for(&fresh, &sel), &fresh.pool),
+                "batch {k}: kept forest for {sel:?} is stale"
+            );
+            next_cache.insert(sel, survivor);
+        }
+        for sel in selections(&apply.scenario) {
+            next_cache
+                .entry(sel.clone())
+                .or_insert_with(|| forest_for(&apply.scenario, &sel));
+        }
+        cache = next_cache;
+        text = apply.text;
+        scenario = apply.scenario;
+        state = apply.state;
+    }
+}
+
 /// Every tuple of an instance by stable id, for before/after comparisons.
 fn tuples_by_id(schema: &Schema, inst: &Instance) -> Vec<(TupleId, Vec<routes_model::Value>)> {
     let mut out = Vec::new();
@@ -562,6 +734,45 @@ fn edit_endpoint_maintains_forests_and_matches_a_fresh_session() {
     assert_eq!(edits.get("forests_kept").unwrap().as_u64(), Some(1));
     assert_eq!(edits.get("forests_invalidated").unwrap().as_u64(), Some(1));
 
+    shutdown(addr, handle);
+}
+
+#[test]
+fn delete_of_an_aliased_row_removes_exactly_that_row_over_http() {
+    let tmp = TempDir::new("incr-aliased");
+    let (addr, handle) = start(config_with_dir(tmp.path()));
+    let mut c = Client::connect(addr);
+    let scenario = "source schema:\n  S(a, b)\ntarget schema:\n  T(a, b)\n\
+         dependencies:\n  m: S(x, y) -> T(x, y)\n\
+         source data:\n  S('a,s:b', 'c')\n  S('a', 'b,s:c')\n";
+    let (status, _, body) = c.request("POST", "/sessions", Some(&create_body(scenario)));
+    assert_eq!(status, 201, "{body:?}");
+    let id = body.get("session").unwrap().as_u64().unwrap();
+    assert_eq!(body.get("source_tuples").unwrap().as_u64(), Some(2));
+
+    let delete = r#"{"ops": [{"op": "delete_tuple", "relation": "S", "row": 1}]}"#;
+    let (status, _, body) = c.request("POST", &format!("/sessions/{id}/edit"), Some(delete));
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("source_deleted").unwrap().as_u64(), Some(1));
+    assert_eq!(body.get("source_tuples").unwrap().as_u64(), Some(1));
+
+    // The surviving row is S('a,s:b', 'c'): the session answers like one
+    // created from that row alone.
+    let select = r#"{"tuples": [{"relation": "T", "row": 0}]}"#;
+    let (status, _, edited) =
+        c.request("POST", &format!("/sessions/{id}/all-routes"), Some(select));
+    assert_eq!(status, 200);
+    let single = scenario.replace("  S('a', 'b,s:c')\n", "");
+    let (status, _, body) = c.request("POST", "/sessions", Some(&create_body(&single)));
+    assert_eq!(status, 201);
+    let twin = body.get("session").unwrap().as_u64().unwrap();
+    let (status, _, expected) = c.request(
+        "POST",
+        &format!("/sessions/{twin}/all-routes"),
+        Some(select),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(answer_of(&edited), answer_of(&expected));
     shutdown(addr, handle);
 }
 
