@@ -175,14 +175,14 @@ fn apply_one(lines: &mut Vec<String>, op: &EditOp) -> Result<(), EditError> {
             if distinct.is_empty() {
                 return Err(EditError::UnknownRelation(relation.clone()));
             }
-            let Some(victim) = distinct.get(*row as usize).cloned() else {
+            let Some(victim) = distinct.get(*row as usize) else {
                 return Err(EditError::RowOutOfRange {
                     relation: relation.clone(),
                     row: *row,
                     len: distinct.len() as u32,
                 });
             };
-            remove_lines(lines, &victim);
+            remove_lines(lines, victim);
             Ok(())
         }
         EditOp::DropTgd { name } => {
