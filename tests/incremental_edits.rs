@@ -11,7 +11,9 @@
 //!    forest cache rides along: forests the invalidation analysis keeps
 //!    must render byte-identically to a fresh computation over the edited
 //!    scenario, and survivors stay in the cache across batches so staleness
-//!    would compound (and be caught) rather than reset.
+//!    would compound (and be caught) rather than reset. A fixed scenario
+//!    whose constants alias under any `,`-joined or prefix-tagged render
+//!    runs the same checks, and deletes each aliased row by index.
 //! 2. **HTTP round-trip** — drive the edit endpoint over real sockets:
 //!    cached forests survive unrelated edits (`cached: true` after the
 //!    edit), edits touching a forest's support invalidate it, and the
