@@ -3,8 +3,9 @@
 //!
 //! Run via the `repro` binary: `repro micro edit [--quick]` prints the
 //! table and writes `bench_results/micro_edit.csv` with columns
-//! `sources, degree, batches, ops, incremental_seconds, full_seconds,
-//! speedup`.
+//! `sources, degree, batches, ops, trials, incremental_seconds,
+//! incremental_min, incremental_max, full_seconds, full_min, full_max,
+//! speedup` (each `_seconds` a median over `trials` timed runs).
 //!
 //! Both paths replay the *same* pinned campaign
 //! ([`routes_gen::sized_edit_campaign`]) batch by batch, and both end at
@@ -24,7 +25,7 @@ use routes_incr::{apply_batch, apply_edits, IncrState};
 use routes_pool::Pool;
 use routes_store::EditOp;
 
-use crate::{secs, Table};
+use crate::{bench_spread, secs, Table};
 
 /// Instance sizes swept (source nodes; each has `DEGREE` out-edges).
 pub const EDIT_SIZES: [usize; 3] = [256, 1024, 4096];
@@ -84,7 +85,7 @@ pub fn edit_benches(quick: bool) -> Table {
     } else {
         &EDIT_SIZES
     };
-    let (warmup, samples) = if quick { (0, 1) } else { (1, 3) };
+    let (warmup, samples) = if quick { (0, 1) } else { (1, 5) };
     let (n_batches, ops_per_batch) = (4, 4);
     let workers = Pool::sequential();
     let mut out = Table::new(
@@ -94,44 +95,43 @@ pub fn edit_benches(quick: bool) -> Table {
             "degree",
             "batches",
             "ops",
+            "trials",
             "incremental_seconds",
+            "incremental_min",
+            "incremental_max",
             "full_seconds",
+            "full_min",
+            "full_max",
             "speedup",
         ],
     );
     // The runners time the replay loop themselves (excluding the base
-    // prepare both paths share), so take the median of their reported
-    // durations rather than wrapping them in `bench_median`.
-    let median_of = |warmup: usize, samples: usize, f: &mut dyn FnMut() -> Duration| {
-        for _ in 0..warmup {
-            let _ = f();
-        }
-        let mut times: Vec<Duration> = (0..samples).map(|_| f()).collect();
-        times.sort_unstable();
-        times[times.len() / 2]
-    };
+    // prepare both paths share), so their reported durations are the runs.
     for &n in sizes {
         let campaign = sized_edit_campaign(0xED17, n, DEGREE, n_batches, ops_per_batch);
-        let inc = median_of(warmup, samples, &mut || {
+        let inc = bench_spread(warmup, samples, || {
             run_incremental(&campaign.scenario, &campaign.batches, &workers)
         });
-        let ful = median_of(warmup, samples, &mut || {
+        let ful = bench_spread(warmup, samples, || {
             run_full(&campaign.scenario, &campaign.batches, &workers)
         });
-        let speedup = if inc.as_secs_f64() > 0.0 {
-            ful.as_secs_f64() / inc.as_secs_f64()
+        let speedup = if inc[1].as_secs_f64() > 0.0 {
+            ful[1].as_secs_f64() / inc[1].as_secs_f64()
         } else {
             f64::INFINITY
         };
-        out.push(vec![
+        let mut row = vec![
             n.to_string(),
             DEGREE.to_string(),
             n_batches.to_string(),
             campaign.total_ops().to_string(),
-            secs(inc),
-            secs(ful),
-            format!("{speedup:.2}"),
-        ]);
+            samples.to_string(),
+        ];
+        for [min, median, max] in [inc, ful] {
+            row.extend([secs(median), secs(min), secs(max)]);
+        }
+        row.push(format!("{speedup:.2}"));
+        out.push(row);
     }
     out
 }
@@ -145,9 +145,9 @@ mod tests {
         let table = edit_benches(true);
         assert_eq!(table.rows.len(), EDIT_SIZES_QUICK.len());
         for row in &table.rows {
-            assert_eq!(row.len(), 7);
-            assert!(row[4].parse::<f64>().unwrap() >= 0.0);
+            assert_eq!(row.len(), 12);
             assert!(row[5].parse::<f64>().unwrap() >= 0.0);
+            assert!(row[8].parse::<f64>().unwrap() >= 0.0);
         }
     }
 }

@@ -3,8 +3,10 @@
 //!
 //! Run via the `repro` binary: `repro micro join [--quick]` prints the
 //! table and writes `bench_results/micro_join.csv` with columns
-//! `generator, scenario, tgds, matches, row_seconds, batch1_seconds,
-//! batch64_seconds, batch1024_seconds, speedup_batch64`.
+//! `generator, scenario, tgds, matches, trials`, then a median, min and max
+//! over `trials` timed runs for each of `row`, `batch1`, `batch64` and
+//! `batch1024` (`row_seconds, row_min, row_max, batch1_seconds, ...`), and
+//! `speedup_batch64`.
 //!
 //! The workload is the one the chase saturation loop and
 //! `ComputeAllRoutes` both live in: enumerate **every** match of every
@@ -29,7 +31,9 @@ use routes_query::{
     MatchIter,
 };
 
-use crate::{bench_median, secs, Table};
+use std::time::Instant;
+
+use crate::{bench_spread, secs, Table};
 
 /// Batch sizes swept against the row-at-a-time baseline.
 pub const JOIN_BATCH_SIZES: [usize; 3] = [1, 64, 1024];
@@ -159,20 +163,27 @@ pub fn join_benches(quick: bool) -> Table {
         workloads.push(workload("random", random_scenario(0x901D + seed)));
     }
 
-    let mut out = Table::new(
-        "micro_join",
-        &[
-            "generator",
-            "scenario",
-            "tgds",
-            "matches",
-            "row_seconds",
-            "batch1_seconds",
-            "batch64_seconds",
-            "batch1024_seconds",
-            "speedup_batch64",
-        ],
-    );
+    let timed: Vec<String> = ["row", "batch1", "batch64", "batch1024"]
+        .iter()
+        .flat_map(|e| {
+            [
+                format!("{e}_seconds"),
+                format!("{e}_min"),
+                format!("{e}_max"),
+            ]
+        })
+        .collect();
+    let mut header = vec!["generator", "scenario", "tgds", "matches", "trials"];
+    header.extend(timed.iter().map(String::as_str));
+    header.push("speedup_batch64");
+    let mut out = Table::new("micro_join", &header);
+    let spread = |f: &dyn Fn() -> u64| {
+        bench_spread(warmup, samples, || {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+    };
 
     // The random workloads are individually tiny; time them as one group
     // so the measurement stays above clock noise.
@@ -199,13 +210,12 @@ pub fn join_benches(quick: bool) -> Table {
                 "batch and lazy executors must enumerate the same matches"
             );
         }
-        let row_time = bench_median(warmup, samples, || total(&enumerate_lazy));
-        let batch_times: Vec<_> = JOIN_BATCH_SIZES
-            .iter()
-            .map(|&b| bench_median(warmup, samples, || total(&|w| enumerate_batched(w, b))))
-            .collect();
-        let speedup = if batch_times[1].as_secs_f64() > 0.0 {
-            row_time.as_secs_f64() / batch_times[1].as_secs_f64()
+        let mut times = vec![spread(&|| total(&enumerate_lazy))];
+        for b in JOIN_BATCH_SIZES {
+            times.push(spread(&|| total(&|w| enumerate_batched(w, b))));
+        }
+        let speedup = if times[2][1].as_secs_f64() > 0.0 {
+            times[0][1].as_secs_f64() / times[2][1].as_secs_f64()
         } else {
             f64::INFINITY
         };
@@ -224,17 +234,18 @@ pub fn join_benches(quick: bool) -> Table {
                     .to_string(),
             ),
         };
-        out.push(vec![
+        let mut row = vec![
             generator.to_owned(),
             name,
             tgds,
             matches.to_string(),
-            secs(row_time),
-            secs(batch_times[0]),
-            secs(batch_times[1]),
-            secs(batch_times[2]),
-            format!("{speedup:.2}"),
-        ]);
+            samples.to_string(),
+        ];
+        for [min, median, max] in times {
+            row.extend([secs(median), secs(min), secs(max)]);
+        }
+        row.push(format!("{speedup:.2}"));
+        out.push(row);
     }
     out
 }
@@ -249,13 +260,13 @@ mod tests {
         // tpch sweep + hierarchy + the pooled random group.
         assert_eq!(table.rows.len(), 3);
         for row in &table.rows {
-            assert_eq!(row.len(), 9);
+            assert_eq!(row.len(), 18);
             assert!(
                 row[3].parse::<u64>().unwrap() > 0,
                 "workloads must enumerate matches"
             );
-            assert!(row[4].parse::<f64>().unwrap() >= 0.0);
-            assert!(row[8].parse::<f64>().unwrap() > 0.0);
+            assert!(row[5].parse::<f64>().unwrap() >= 0.0);
+            assert!(row[17].parse::<f64>().unwrap() > 0.0);
         }
     }
 }

@@ -71,17 +71,26 @@ pub fn secs(d: Duration) -> String {
 /// the median. The median is robust against one-off scheduler noise, which
 /// is the property criterion's point estimate gave us.
 pub fn bench_median<R>(warmup: usize, samples: usize, mut f: impl FnMut() -> R) -> Duration {
+    bench_spread(warmup, samples, || {
+        let start = Instant::now();
+        let _ = f();
+        start.elapsed()
+    })[1]
+}
+
+/// The runs behind [`bench_median`], for an `f` that times itself:
+/// `warmup` untimed runs, then `samples` timed ones, reported as
+/// `[min, median, max]`.
+pub fn bench_spread(
+    warmup: usize,
+    samples: usize,
+    mut f: impl FnMut() -> Duration,
+) -> [Duration; 3] {
     assert!(samples > 0, "need at least one timed sample");
     for _ in 0..warmup {
         let _ = f();
     }
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            let _ = f();
-            start.elapsed()
-        })
-        .collect();
+    let mut times: Vec<Duration> = (0..samples).map(|_| f()).collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    [times[0], times[times.len() / 2], times[times.len() - 1]]
 }

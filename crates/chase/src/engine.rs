@@ -93,12 +93,103 @@ struct Engine<'a> {
     egd_rewrites: usize,
     egd_log: EgdLog,
     /// Caller-supplied s-t match lists (one per s-t tgd, in
-    /// [`Engine::collect_st_matches`] order). When set, the source joins
-    /// are skipped entirely and these bindings fire instead.
+    /// [`lhs_matches`] order). When set, the source joins are skipped
+    /// entirely and these bindings fire instead.
     st_matches: Option<&'a [Vec<Bindings>]>,
     /// Per-dependency attribution accumulators: s-t tgds first, then
     /// target tgds, in mapping order.
     tgd_stats: Vec<TgdStats>,
+}
+
+/// All matches of `tgd`'s premise over `inst`, in the sequential
+/// iterator's order at every worker count — the chase's s-t pass. The join
+/// is planned once, the outer atom's candidate rows are partitioned across
+/// `workers`, and the per-chunk matches are concatenated in chunk order (see
+/// [`routes_query::AnchoredPlan`]), so the order is lexicographic over the
+/// plan-ordered row vectors: the property `routes-incr`'s memos rely on.
+///
+/// Within a chunk, the anchored rows seed a columnar [`BindingBatch`] and
+/// the vectorized batch executor evaluates the suffix, yielding the match
+/// sequence of draining a [`MatchIter`](routes_query::MatchIter) per row
+/// (the order argument lives in `routes_query::batch`).
+pub fn lhs_matches(inst: &Instance, tgd: &Tgd, workers: &Pool) -> Vec<Bindings> {
+    let init = Bindings::new(tgd.var_count());
+    let Some(ap) = anchored_plan(inst, tgd.lhs(), &init) else {
+        // Unreachable: tgd LHSes are non-empty by construction.
+        return vec![init];
+    };
+    let anchor = &tgd.lhs()[ap.outer];
+    let opts = BatchOptions::default();
+    let chunks = workers.par_map_chunks(ap.rows.len(), PAR_MIN_CHUNK, |_, range| {
+        let mut seeds = BindingBatch::new(init.capacity(), anchor.vars());
+        for &row in &ap.rows[range] {
+            let mut b = init.clone();
+            if unify_atom(
+                anchor,
+                &inst.tuple(TupleId {
+                    rel: anchor.rel,
+                    row,
+                }),
+                &mut b,
+            ) {
+                seeds.push_binding(&b);
+            }
+        }
+        let mut local: Vec<Bindings> = Vec::new();
+        batch_matches_with_plan_into(inst, tgd.lhs(), &ap.suffix, &seeds, &opts, &mut local);
+        local
+    });
+    chunks.into_iter().flatten().collect()
+}
+
+/// The matches of `tgd`'s premise over `inst` that use at least one tuple
+/// of `delta`, each exactly once, sorted by binding — the semi-naive delta
+/// join of the chase's target-tgd rounds.
+///
+/// Each delta tuple anchors every premise atom over its relation, and the
+/// other atoms are completed over all of `inst`. The completion's plan
+/// depends only on the anchor's bound variables, never on values, so it is
+/// planned **once** per anchor atom and the delta tuples stream through the
+/// batch executor, partitioned across `workers`. A match touching `k` delta
+/// tuples is found `k` times; the final sort + dedup keeps one copy and
+/// erases chunk boundaries, so the result depends on neither the worker
+/// count nor the order of `delta`.
+pub fn delta_matches(
+    inst: &Instance,
+    tgd: &Tgd,
+    delta: &[TupleId],
+    workers: &Pool,
+) -> Vec<Bindings> {
+    let opts = BatchOptions::default();
+    let mut pending: Vec<Bindings> = Vec::new();
+    for anchor_idx in 0..tgd.lhs().len() {
+        let anchor = &tgd.lhs()[anchor_idx];
+        // Atoms to complete once the anchor is unified.
+        let rest: Vec<routes_model::Atom> = tgd
+            .lhs()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != anchor_idx)
+            .map(|(_, a)| a.clone())
+            .collect();
+        let order = plan_with_bound(inst, &rest, anchor.vars().collect());
+        let chunks = workers.par_map_chunks(delta.len(), PAR_MIN_CHUNK, |_, range| {
+            let mut seeds = BindingBatch::new(tgd.var_count(), anchor.vars());
+            for &tid in delta[range].iter().filter(|tid| tid.rel == anchor.rel) {
+                let mut init = Bindings::new(tgd.var_count());
+                if unify_atom(anchor, &inst.tuple(tid), &mut init) {
+                    seeds.push_binding(&init);
+                }
+            }
+            let mut local: Vec<Bindings> = Vec::new();
+            batch_matches_with_plan_into(inst, &rest, &order, &seeds, &opts, &mut local);
+            local
+        });
+        pending.extend(chunks.into_iter().flatten());
+    }
+    pending.sort_by(|a, b| a.iter().cmp(b.iter()));
+    pending.dedup();
+    pending
 }
 
 /// Run the chase of `(source, ∅)` with the mapping's dependencies.
@@ -252,7 +343,10 @@ impl Engine<'_> {
         let mut inserted = Vec::new();
         for ti in 0..self.mapping.st_tgds().len() {
             let started = Instant::now();
-            let pending = self.collect_st_matches(ti);
+            let pending = match self.st_matches {
+                Some(provided) => provided[ti].clone(),
+                None => lhs_matches(self.source, &self.mapping.st_tgds()[ti], self.workers),
+            };
             self.tgd_stats[ti].matches += pending.len() as u64;
             let before = inserted.len();
             for b in pending {
@@ -265,58 +359,6 @@ impl Engine<'_> {
         Ok(inserted)
     }
 
-    /// All matches of s-t tgd `ti` over the source, in the sequential
-    /// iterator's order at every worker count: the join is planned once, the
-    /// outer atom's candidate rows are partitioned across workers, and the
-    /// per-chunk match buffers are concatenated in chunk order (see
-    /// [`routes_query::AnchoredPlan`]).
-    ///
-    /// Within a chunk, the anchored rows are unified into a columnar
-    /// [`BindingBatch`] and the suffix is evaluated by the vectorized batch
-    /// executor, which yields the byte-identical match sequence of draining a
-    /// [`MatchIter`](routes_query::MatchIter) per row (the order argument
-    /// lives in `routes_query::batch`).
-    fn collect_st_matches(&self, ti: usize) -> Vec<Bindings> {
-        if let Some(provided) = self.st_matches {
-            return provided[ti].clone();
-        }
-        let tgd = &self.mapping.st_tgds()[ti];
-        let init = Bindings::new(tgd.var_count());
-        let Some(ap) = anchored_plan(self.source, tgd.lhs(), &init) else {
-            // Unreachable: tgd LHSes are non-empty by construction.
-            return vec![init];
-        };
-        let anchor = &tgd.lhs()[ap.outer];
-        let opts = BatchOptions::default();
-        let chunks = self
-            .workers
-            .par_map_chunks(ap.rows.len(), PAR_MIN_CHUNK, |_, range| {
-                let mut seeds = BindingBatch::new(init.capacity(), anchor.vars());
-                for &row in &ap.rows[range] {
-                    let mut b = init.clone();
-                    let tuple = self.source.tuple(TupleId {
-                        rel: anchor.rel,
-                        row,
-                    });
-                    if !unify_atom(anchor, &tuple, &mut b) {
-                        continue;
-                    }
-                    seeds.push_binding(&b);
-                }
-                let mut local: Vec<Bindings> = Vec::new();
-                batch_matches_with_plan_into(
-                    self.source,
-                    tgd.lhs(),
-                    &ap.suffix,
-                    &seeds,
-                    &opts,
-                    &mut local,
-                );
-                local
-            });
-        chunks.into_iter().flatten().collect()
-    }
-
     /// Semi-naive application of target tgds: for each delta tuple and each
     /// LHS atom over its relation, anchor the atom on the tuple and complete
     /// the match over the full target. Matching fans out over the worker
@@ -326,10 +368,11 @@ impl Engine<'_> {
         let st_count = self.mapping.st_tgds().len();
         for ti in 0..self.mapping.target_tgds().len() {
             let started = Instant::now();
-            // Collect matches first (MatchIter borrows target immutably),
+            // Collect matches first (the join borrows target immutably),
             // then fire. Firing within a round sees the round-start target,
             // which matches the round semantics of the chase.
-            let pending = self.collect_target_matches(ti, delta);
+            let tgd = &self.mapping.target_tgds()[ti];
+            let pending = delta_matches(&self.target, tgd, delta, self.workers);
             self.tgd_stats[st_count + ti].matches += pending.len() as u64;
             let before = inserted.len();
             for b in pending {
@@ -340,69 +383,6 @@ impl Engine<'_> {
             stat.wall_us += started.elapsed().as_micros() as u64;
         }
         Ok(inserted)
-    }
-
-    /// All delta-anchored matches of target tgd `ti`, with the delta tuples
-    /// partitioned across workers per anchor atom.
-    ///
-    /// Every delta tuple anchored on the same atom yields the same bound
-    /// variable set (the plan depends only on that set, never on values), so
-    /// the completion of `rest` is planned **once** per anchor and the delta
-    /// tuples stream through the batch executor — replacing one
-    /// [`MatchIter`](routes_query::MatchIter) construction (plan + buffers)
-    /// per delta tuple with one pipeline per chunk, while enumerating the
-    /// identical per-tuple match sequences.
-    fn collect_target_matches(&self, ti: usize, delta: &[TupleId]) -> Vec<Bindings> {
-        let tgd = &self.mapping.target_tgds()[ti];
-        let opts = BatchOptions::default();
-        let mut pending: Vec<Bindings> = Vec::new();
-        for anchor_idx in 0..tgd.lhs().len() {
-            let anchor = &tgd.lhs()[anchor_idx];
-            // Atoms to complete once the anchor is unified.
-            let rest: Vec<routes_model::Atom> = tgd
-                .lhs()
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != anchor_idx)
-                .map(|(_, a)| a.clone())
-                .collect();
-            let order = plan_with_bound(&self.target, &rest, anchor.vars().collect());
-            let chunks = self
-                .workers
-                .par_map_chunks(delta.len(), PAR_MIN_CHUNK, |_, range| {
-                    let mut seeds = BindingBatch::new(tgd.var_count(), anchor.vars());
-                    for &tid in &delta[range] {
-                        if tid.rel != anchor.rel {
-                            continue;
-                        }
-                        let mut init = Bindings::new(tgd.var_count());
-                        if !unify_atom(anchor, &self.target.tuple(tid), &mut init) {
-                            continue;
-                        }
-                        seeds.push_binding(&init);
-                    }
-                    let mut local: Vec<Bindings> = Vec::new();
-                    batch_matches_with_plan_into(
-                        &self.target,
-                        &rest,
-                        &order,
-                        &seeds,
-                        &opts,
-                        &mut local,
-                    );
-                    local
-                });
-            for chunk in chunks {
-                pending.extend(chunk);
-            }
-        }
-        // A match touching k delta tuples is found k times; dedup to avoid
-        // redundant firing (and, in Fresh mode, duplicate nulls). The sort
-        // also erases chunk boundaries, making the firing order independent
-        // of the worker count.
-        pending.sort_by(|a, b| a.iter().cmp(b.iter()));
-        pending.dedup();
-        pending
     }
 
     /// Fire a tgd on a (universal) match: value the existential variables

@@ -44,8 +44,8 @@ pub fn has_homomorphism(from: &Instance, to: &Instance) -> bool {
 /// Extend `mapping` so that every row of `tuples` (rows of `from`) maps
 /// onto a row of `to` outside `excluded`, with constants and `rigid` nulls
 /// fixed. Rows are matched in `tuples` order; each row's candidate images
-/// come in ascending row order, from the index of its most selective
-/// already-determined column (or a scan), so the result is deterministic.
+/// come in ascending row order, by [`Instance::candidates`] over its
+/// already-determined columns, so the result is deterministic.
 /// On `false`, `mapping` is left as it was.
 pub fn search(
     from: &Instance,
@@ -81,58 +81,38 @@ fn search_from(
     };
     let values = from.tuple(tid);
 
-    // Candidate rows in `to`: probe on the most selective already-determined
-    // column if any, else scan.
-    let mut best: Option<(u32, Value, usize)> = None;
-    for (col, &v) in values.iter().enumerate() {
-        let Some(image) = resolve(v, rigid, mapping) else {
-            continue;
-        };
-        let len = to.probe_len(tid.rel, col as u32, image);
-        if best.is_none_or(|(_, _, blen)| len < blen) {
-            best = Some((col as u32, image, len));
-        }
-    }
+    // Candidate rows in `to`, by the shared rule over the columns whose
+    // image is already determined (never escalating to a composite index).
+    let determined = values
+        .iter()
+        .enumerate()
+        .filter_map(|(col, &v)| resolve(v, rigid, mapping).map(|image| (col as u32, image)));
     let mut candidates = Vec::new();
-    match best {
-        Some((col, image, _)) => to.probe_into(tid.rel, col, image, &mut candidates),
-        None => candidates.extend(0..to.rel_len(tid.rel)),
-    }
+    to.candidates(tid.rel, determined, usize::MAX, &mut candidates);
 
-    'rows: for row in candidates {
+    for row in candidates {
         let image_id = TupleId { rel: tid.rel, row };
         if excluded.contains(&image_id) {
             continue;
         }
-        let image = to.tuple(image_id);
+        // Bind the free nulls this image fixes; they are undone unless the
+        // remaining tuples then map too.
         let mut bound_here: Vec<NullId> = Vec::new();
-        for (col, &v) in values.iter().enumerate() {
+        let fits = values.iter().enumerate().all(|(col, &v)| {
+            let image = to.value_at(image_id, col);
             match v {
                 Value::Null(n) if !rigid.contains(&n) => match mapping.get(&n) {
-                    Some(&img) => {
-                        if img != image[col] {
-                            for b in bound_here.drain(..) {
-                                mapping.remove(&b);
-                            }
-                            continue 'rows;
-                        }
-                    }
+                    Some(&img) => img == image,
                     None => {
-                        mapping.insert(n, image[col]);
+                        mapping.insert(n, image);
                         bound_here.push(n);
+                        true
                     }
                 },
-                fixed => {
-                    if fixed != image[col] {
-                        for b in bound_here.drain(..) {
-                            mapping.remove(&b);
-                        }
-                        continue 'rows;
-                    }
-                }
+                fixed => fixed == image,
             }
-        }
-        if search_from(from, to, tuples, rigid, excluded, depth + 1, mapping) {
+        });
+        if fits && search_from(from, to, tuples, rigid, excluded, depth + 1, mapping) {
             return true;
         }
         for b in bound_here {

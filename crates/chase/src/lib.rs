@@ -37,7 +37,10 @@ pub mod result;
 pub mod unify;
 
 pub use egd_log::{history_to_string, merges_affecting, EgdLog, EgdMerge};
-pub use engine::{chase, chase_with_pool, chase_with_st_matches, ChaseOptions, NullMode};
+pub use engine::{
+    chase, chase_with_pool, chase_with_st_matches, delta_matches, lhs_matches, ChaseOptions,
+    NullMode,
+};
 pub use hom::find_homomorphism;
 pub use impact::{impact_to_string, mapping_impact, solution_diff, ImpactReport};
 pub use result::{ChaseError, ChaseResult, ChaseStats, TgdStats};

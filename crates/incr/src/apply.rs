@@ -228,12 +228,12 @@ pub fn apply_batch(
                             .collect()
                     })
                     .collect();
-                vs.extend(delta_vectors(&source, tgd, &sdiff.inserted));
+                vs.extend(delta_vectors(&source, tgd, &sdiff.inserted, workers));
                 vs
             }
             None => {
                 memo_misses += 1;
-                full_vectors(&source, tgd)
+                full_vectors(&source, tgd, workers)
             }
         };
         sort_to_plan_order(&source, tgd, &mut vectors);

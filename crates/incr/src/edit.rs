@@ -17,7 +17,9 @@
 //!   (instance row ids equal first-occurrence order of distinct rows), along
 //!   with every duplicate data line spelling the same tuple.
 //! * `AddTgd` — appends a `dependencies:` section holding the new
-//!   dependency.
+//!   dependency. `InsertTuple` and `AddTgd` first check that their `line`
+//!   is one data row or one complete dependency: never a section header or
+//!   a continuation.
 //! * `DropTgd` — removes the named dependency's logical unit, including its
 //!   continuation lines.
 //!
@@ -58,7 +60,8 @@ pub enum EditError {
     },
     /// `drop_tgd` named a dependency that does not exist.
     UnknownTgd(String),
-    /// The edited text no longer loads (bad inserted row or dependency).
+    /// The edited text no longer loads, or an inserted row or dependency is
+    /// not exactly one line of its section.
     Invalid(String),
     /// The edited text loads but the re-chase failed (e.g. chase failure
     /// from an egd equating constants, or the round limit).
@@ -130,6 +133,28 @@ fn row_key(line: &str) -> Option<(&str, Vec<ValueToken<'_>>)> {
     Some((name, values))
 }
 
+/// Check an op's `line` before it is appended: one line, not a section
+/// header, whose text `fits` its section (one data row, or one dependency).
+fn check_op_line(line: &str, what: &str, fits: impl Fn(&str) -> bool) -> Result<(), EditError> {
+    let text = strip_comment(line).trim();
+    if fits(text) && !line.contains(['\n', '\r']) && section_header(text).is_none() {
+        return Ok(());
+    }
+    let line = line.escape_debug();
+    Err(EditError::Invalid(format!("`{line}` is not one {what}")))
+}
+
+/// Whether a dependency line is one complete unit on its own: fed between
+/// two complete units through the loader's grouping, it neither continues
+/// the first nor leaves itself open for the second to continue.
+fn is_one_unit(text: &str) -> bool {
+    let mut units = Vec::new();
+    for (i, unit) in ["a -> b", text, "a -> b"].into_iter().enumerate() {
+        push_dependency_line(&mut units, unit, i);
+    }
+    units.len() == 3
+}
+
 /// Remove the given physical lines (ascending indices) from the document.
 fn remove_lines(lines: &mut Vec<String>, doomed: &[usize]) {
     for &i in doomed.iter().rev() {
@@ -141,11 +166,13 @@ fn remove_lines(lines: &mut Vec<String>, doomed: &[usize]) {
 fn apply_one(lines: &mut Vec<String>, op: &EditOp) -> Result<(), EditError> {
     match op {
         EditOp::InsertTuple { line } => {
+            check_op_line(line, "data row", |text| row_key(text).is_some())?;
             lines.push("source data:".to_owned());
             lines.push(format!("  {line}"));
             Ok(())
         }
         EditOp::AddTgd { line } => {
+            check_op_line(line, "complete dependency", is_one_unit)?;
             lines.push("dependencies:".to_owned());
             lines.push(format!("  {line}"));
             Ok(())

@@ -13,7 +13,13 @@
 //! `routes-query` scans: [`Instance::col_slice`] exposes a whole column as a
 //! contiguous slice, and [`Instance::value_at`] reads a single cell without
 //! materializing the row.
+//!
+//! Every join in the workspace — `findHom`, the chase, the edit memos and
+//! the homomorphism search behind core minimization — reads through one
+//! index type, [`HashIndex`] (lent out by [`Instance::with_index`]), and one
+//! access rule, [`Instance::candidates`], both owned here.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,54 +74,81 @@ impl Fact {
     }
 }
 
-/// A single-column hash index, caught up lazily against the append-only
-/// relation data.
-#[derive(Debug, Default)]
-struct ColIndex {
-    map: HashMap<Value, Vec<u32>>,
+/// A lazily built hash index over one relation: key → the rows holding it,
+/// ascending. `K` is one column's [`Value`], or a column set's values as
+/// `Box<[Value]>` (a composite index). The relation is append-only, so the
+/// index never needs invalidation: it remembers how many rows it covers and
+/// is caught up over the rows appended since on its next use.
+#[derive(Debug)]
+pub struct HashIndex<K> {
+    map: HashMap<K, Vec<u32>>,
     /// Number of rows already indexed; rows `upto..len` are indexed on the
-    /// next probe.
+    /// next use.
     upto: u32,
 }
 
-/// A composite (multi-column) hash index over an ordered column set.
-#[derive(Debug, Default)]
-struct MultiIndex {
-    map: HashMap<Box<[Value]>, Vec<u32>>,
-    upto: u32,
-}
-
-/// A single-column index pinned for a stretch of probes.
-///
-/// [`Instance::with_col_probe`] catches the index up once and holds the read
-/// guard for the closure's whole run, so every [`ColProbe::probe`] is a bare
-/// hash lookup returning the posting list *by reference* — no per-probe lock
-/// traffic and no copying. This is the batch executor's amortization lever:
-/// the lazy per-binding executor must release the lock between `next_match`
-/// calls and therefore pays lock + copy on every probe.
-pub struct ColProbe<'i> {
-    idx: &'i ColIndex,
-}
-
-impl<'i> ColProbe<'i> {
-    /// Rows whose pinned column equals `value`, in ascending row order.
+impl<K: Hash + Eq> HashIndex<K> {
+    /// Rows whose key equals `key`, in ascending row order. A composite
+    /// index takes the values as a slice aligned with its column set.
     #[inline]
-    pub fn probe(&self, value: Value) -> &'i [u32] {
-        self.idx.map.get(&value).map_or(&[][..], Vec::as_slice)
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> &[u32]
+    where
+        K: Borrow<Q>,
+    {
+        self.map.get(key).map_or(&[][..], Vec::as_slice)
     }
 }
 
-/// A composite index pinned for a stretch of probes; the multi-column
-/// analogue of [`ColProbe`] (see [`Instance::with_multi_probe`]).
-pub struct MultiProbe<'i> {
-    idx: &'i MultiIndex,
-}
+/// A [`HashIndex`] key: [`Value`] for one `u32` column, `Box<[Value]>` for
+/// a strictly ascending `[u32]` column set.
+pub trait IndexKey: Hash + Eq + sealed::Key {}
 
-impl<'i> MultiProbe<'i> {
-    /// Rows whose pinned column set equals `values` pointwise, ascending.
-    #[inline]
-    pub fn probe(&self, values: &[Value]) -> &'i [u32] {
-        self.idx.map.get(values).map_or(&[][..], Vec::as_slice)
+impl IndexKey for Value {}
+impl IndexKey for Box<[Value]> {}
+
+mod sealed {
+    //! What only this module needs of an [`IndexKey`](super::IndexKey).
+    use super::*;
+
+    /// One relation's lazily built indexes per column selector, each key
+    /// type behind its own lock.
+    #[derive(Debug, Default)]
+    pub struct Indexes {
+        single: Registry<Value>,
+        composite: Registry<Box<[Value]>>,
+    }
+
+    pub type Registry<K> = RwLock<HashMap<<<K as Key>::Cols as ToOwned>::Owned, HashIndex<K>>>;
+
+    pub trait Key: Sized {
+        /// The column selector: `u32`, or a strictly ascending `[u32]`.
+        type Cols: ?Sized + Hash + Eq + ToOwned<Owned: Hash + Eq>;
+        /// The key of `row`, read from the relation's column vectors.
+        fn of_row(cols: &Self::Cols, data: &[Vec<Value>], row: u32) -> Self;
+        /// The relation's indexes keyed by this type.
+        fn registry(indexes: &Indexes) -> &Registry<Self>;
+    }
+
+    impl Key for Value {
+        type Cols = u32;
+        fn of_row(col: &u32, data: &[Vec<Value>], row: u32) -> Self {
+            data[*col as usize][row as usize]
+        }
+        fn registry(indexes: &Indexes) -> &Registry<Self> {
+            &indexes.single
+        }
+    }
+
+    impl Key for Box<[Value]> {
+        type Cols = [u32];
+        fn of_row(cols: &[u32], data: &[Vec<Value>], row: u32) -> Self {
+            cols.iter()
+                .map(|&c| data[c as usize][row as usize])
+                .collect()
+        }
+        fn registry(indexes: &Indexes) -> &Registry<Self> {
+            &indexes.composite
+        }
     }
 }
 
@@ -129,18 +162,12 @@ struct RelData {
     cols: Vec<Vec<Value>>,
     /// Tuple-hash → candidate rows, for duplicate elimination.
     dedup: HashMap<u64, Vec<u32>>,
-    /// Lazily built per-column indexes. Interior mutability lets read-only
-    /// query evaluation build and extend indexes on a shared reference; an
-    /// `RwLock` with a double-checked build so instances stay `Sync` and
-    /// concurrent probes — the parallel chase and parallel `findHom` hammer
-    /// one shared instance from every worker — take only the *shared* lock
-    /// once an index is caught up. The exclusive lock is held only while an
-    /// index is built or extended past newly appended rows, and the
-    /// caught-up check is repeated under it, so racing builders do the
-    /// catch-up work once.
-    indexes: RwLock<HashMap<u32, ColIndex>>,
-    /// Lazily built composite indexes, keyed by the ordered column set.
-    multi_indexes: RwLock<HashMap<Box<[u32]>, MultiIndex>>,
+    /// Lazily built single-column and composite indexes. Interior
+    /// mutability lets read-only query evaluation build and extend indexes
+    /// on a shared reference; an `RwLock` per key type with a
+    /// double-checked build ([`Instance::with_index`]) keeps instances
+    /// `Sync`.
+    indexes: sealed::Indexes,
     /// Rows fed into index builds/catch-ups over this relation's lifetime.
     /// Diagnostic for the clone-laziness regression tests.
     index_rows_built: AtomicU64,
@@ -159,8 +186,7 @@ impl Clone for RelData {
             len: self.len,
             cols: self.cols.clone(),
             dedup: self.dedup.clone(),
-            indexes: RwLock::new(HashMap::new()),
-            multi_indexes: RwLock::new(HashMap::new()),
+            indexes: sealed::Indexes::default(),
             index_rows_built: AtomicU64::new(0),
         }
     }
@@ -173,8 +199,7 @@ impl RelData {
             len: 0,
             cols: (0..arity).map(|_| Vec::new()).collect(),
             dedup: HashMap::new(),
-            indexes: RwLock::new(HashMap::new()),
-            multi_indexes: RwLock::new(HashMap::new()),
+            indexes: sealed::Indexes::default(),
             index_rows_built: AtomicU64::new(0),
         }
     }
@@ -206,142 +231,10 @@ impl RelData {
         self.len += 1;
         row
     }
-
-    /// Ensure the index for `col` exists and covers all current rows, then
-    /// run `f` on the row list for `value` (empty slice if absent).
-    ///
-    /// Double-checked publication: the common case — the index exists and is
-    /// caught up — takes only the shared lock, so concurrent probes from
-    /// parallel chase and `findHom` workers do not serialize. Only a probe
-    /// that finds the index missing or stale upgrades to the exclusive lock,
-    /// re-checks, and extends it over the newly appended rows.
-    fn with_index<R>(&self, col: u32, value: Value, f: impl FnOnce(&[u32]) -> R) -> R {
-        let len = self.len();
-        {
-            let indexes = self.indexes.read().unwrap();
-            if let Some(idx) = indexes.get(&col) {
-                if idx.upto >= len {
-                    return match idx.map.get(&value) {
-                        Some(rows) => f(rows),
-                        None => f(&[]),
-                    };
-                }
-            }
-        }
-        let mut indexes = self.indexes.write().unwrap();
-        let idx = indexes.entry(col).or_default();
-        self.catch_up_col(idx, col, len);
-        match idx.map.get(&value) {
-            Some(rows) => f(rows),
-            None => f(&[]),
-        }
-    }
-
-    /// Extend the single-column index over rows `idx.upto..len` (no-op when
-    /// caught up). Caller holds the exclusive lock.
-    fn catch_up_col(&self, idx: &mut ColIndex, col: u32, len: u32) {
-        if idx.upto >= len {
-            return;
-        }
-        self.index_rows_built
-            .fetch_add(u64::from(len - idx.upto), Ordering::Relaxed);
-        crate::joinstats::record_hash_build(u64::from(len - idx.upto));
-        let col_data = &self.cols[col as usize];
-        // The catch-up walks the column slice directly: one contiguous
-        // vector, no per-row stride arithmetic.
-        for row in idx.upto..len {
-            idx.map.entry(col_data[row as usize]).or_default().push(row);
-        }
-        idx.upto = len;
-    }
-
-    /// Pin the single-column index for `col`: catch it up once, then run `f`
-    /// with a probe handle that borrows posting lists under a single read
-    /// guard. The relation cannot grow while `f` runs (appends need
-    /// `&mut Instance`), so the pinned view stays complete.
-    fn with_col_probe<R>(&self, col: u32, f: impl FnOnce(ColProbe<'_>) -> R) -> R {
-        let len = self.len();
-        let stale = {
-            let indexes = self.indexes.read().unwrap();
-            indexes.get(&col).is_none_or(|idx| idx.upto < len)
-        };
-        if stale {
-            let mut indexes = self.indexes.write().unwrap();
-            let idx = indexes.entry(col).or_default();
-            self.catch_up_col(idx, col, len);
-        }
-        let indexes = self.indexes.read().unwrap();
-        let idx = indexes.get(&col).expect("index built above");
-        f(ColProbe { idx })
-    }
-
-    /// Composite-index variant of [`RelData::with_index`]: `cols` must be
-    /// sorted and `values` aligned with it. Same double-checked publication
-    /// scheme as the single-column path.
-    fn with_multi_index<R>(
-        &self,
-        cols: &[u32],
-        values: &[Value],
-        f: impl FnOnce(&[u32]) -> R,
-    ) -> R {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(cols.len(), values.len());
-        let len = self.len();
-        {
-            let indexes = self.multi_indexes.read().unwrap();
-            if let Some(idx) = indexes.get(cols) {
-                if idx.upto >= len {
-                    return match idx.map.get(values) {
-                        Some(rows) => f(rows),
-                        None => f(&[]),
-                    };
-                }
-            }
-        }
-        let mut indexes = self.multi_indexes.write().unwrap();
-        let idx = indexes.entry(Box::from(cols)).or_default();
-        self.catch_up_multi(idx, cols, len);
-        match idx.map.get(values) {
-            Some(rows) => f(rows),
-            None => f(&[]),
-        }
-    }
-
-    /// Composite-index analogue of [`RelData::catch_up_col`].
-    fn catch_up_multi(&self, idx: &mut MultiIndex, cols: &[u32], len: u32) {
-        if idx.upto >= len {
-            return;
-        }
-        self.index_rows_built
-            .fetch_add(u64::from(len - idx.upto), Ordering::Relaxed);
-        crate::joinstats::record_hash_build(u64::from(len - idx.upto));
-        let mut key: Vec<Value> = Vec::with_capacity(cols.len());
-        for row in idx.upto..len {
-            key.clear();
-            key.extend(cols.iter().map(|&c| self.value(row, c as usize)));
-            idx.map.entry(key.as_slice().into()).or_default().push(row);
-        }
-        idx.upto = len;
-    }
-
-    /// Composite-index analogue of [`RelData::with_col_probe`].
-    fn with_multi_probe<R>(&self, cols: &[u32], f: impl FnOnce(MultiProbe<'_>) -> R) -> R {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        let len = self.len();
-        let stale = {
-            let indexes = self.multi_indexes.read().unwrap();
-            indexes.get(cols).is_none_or(|idx| idx.upto < len)
-        };
-        if stale {
-            let mut indexes = self.multi_indexes.write().unwrap();
-            let idx = indexes.entry(Box::from(cols)).or_default();
-            self.catch_up_multi(idx, cols, len);
-        }
-        let indexes = self.multi_indexes.read().unwrap();
-        let idx = indexes.get(cols).expect("index built above");
-        f(MultiProbe { idx })
-    }
 }
+
+/// Why an index lock can fail: a prober panicked while holding it.
+const POISONED: &str = "an index lock holder panicked";
 
 fn hash_tuple(values: &[Value]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -511,65 +404,96 @@ impl Instance {
         (0..self.rels.len() as u32).flat_map(move |r| self.rel_rows(RelId(r)))
     }
 
-    /// Probe the hash index on `(rel, col)` for rows whose `col` equals
-    /// `value`, appending matching rows to `out`.
+    /// Lend the hash index of `rel` over `cols` (see [`IndexKey`]) to `f`,
+    /// built or caught up first. The batch executor borrows one index per
+    /// (atom, morsel) this way: one lock acquisition, no posting list copied.
     ///
-    /// The index is built on first use and caught up incrementally on later
-    /// probes (the store is append-only, so no invalidation is needed).
-    pub fn probe_into(&self, rel: RelId, col: u32, value: Value, out: &mut Vec<u32>) {
-        self.rel(rel)
-            .with_index(col, value, |rows| out.extend_from_slice(rows));
-    }
-
-    /// Number of rows that a probe on `(rel, col) = value` would return.
-    /// Used by the query planner to pick the most selective bound column.
-    pub fn probe_len(&self, rel: RelId, col: u32, value: Value) -> usize {
-        self.rel(rel).with_index(col, value, <[u32]>::len)
-    }
-
-    /// Probe a composite index on the (sorted) column set `cols` for rows
-    /// whose columns equal `values` pointwise, appending matches to `out`.
-    ///
-    /// Composite indexes are built lazily per column set and caught up
-    /// incrementally, like single-column ones. They pay off when no single
-    /// bound column is selective but the combination is (e.g. TPC-H
-    /// `Partsupp(partkey, suppkey)`).
-    ///
-    /// # Panics
-    /// Debug-asserts that `cols` is strictly sorted and aligned with
-    /// `values`.
-    pub fn probe_multi_into(&self, rel: RelId, cols: &[u32], values: &[Value], out: &mut Vec<u32>) {
-        self.rel(rel)
-            .with_multi_index(cols, values, |rows| out.extend_from_slice(rows));
-    }
-
-    /// Number of rows a composite probe would return.
-    pub fn probe_multi_len(&self, rel: RelId, cols: &[u32], values: &[Value]) -> usize {
-        self.rel(rel).with_multi_index(cols, values, <[u32]>::len)
-    }
-
-    /// Pin the hash index on `(rel, col)` and run `f` with a [`ColProbe`]
-    /// whose probes return posting lists by reference.
-    ///
-    /// The index is caught up at most once (counted like any other lazy
-    /// build) and the read guard is held for the closure's whole run, so a
-    /// morsel of probes pays one lock acquisition total instead of one per
-    /// probe, and no posting list is copied. The vectorized batch executor
-    /// pins one index per (atom, morsel).
-    pub fn with_col_probe<R>(&self, rel: RelId, col: u32, f: impl FnOnce(ColProbe<'_>) -> R) -> R {
-        self.rel(rel).with_col_probe(col, f)
-    }
-
-    /// Pin the composite index on `(rel, cols)` and run `f` with a
-    /// [`MultiProbe`]; the multi-column analogue of
-    /// [`Instance::with_col_probe`]. `cols` must be strictly sorted.
-    pub fn with_multi_probe<R>(
+    /// Double-checked publication: when the index exists and is caught up —
+    /// the common case — this takes only the shared lock, once, so
+    /// concurrent probes from parallel chase and `findHom` workers do not
+    /// serialize. Otherwise it takes the exclusive lock, re-checks, and does
+    /// the catch-up (racing builders do the work once), then runs `f` under
+    /// the shared lock. The relation cannot grow while `f` runs (appends
+    /// need `&mut Instance`), so the index it sees stays complete.
+    pub fn with_index<K: IndexKey, R>(
         &self,
         rel: RelId,
-        cols: &[u32],
-        f: impl FnOnce(MultiProbe<'_>) -> R,
+        cols: &K::Cols,
+        f: impl FnOnce(&HashIndex<K>) -> R,
     ) -> R {
-        self.rel(rel).with_multi_probe(cols, f)
+        let rd = self.rel(rel);
+        let registry = K::registry(&rd.indexes);
+        {
+            let indexes = registry.read().expect(POISONED);
+            if let Some(idx) = indexes.get(cols).filter(|idx| idx.upto >= rd.len) {
+                return f(idx);
+            }
+        }
+        {
+            let mut indexes = registry.write().expect(POISONED);
+            let idx = indexes.entry(cols.to_owned()).or_insert_with(|| HashIndex {
+                map: HashMap::new(),
+                upto: 0,
+            });
+            if idx.upto < rd.len {
+                let added = u64::from(rd.len - idx.upto);
+                rd.index_rows_built.fetch_add(added, Ordering::Relaxed);
+                crate::joinstats::record_hash_build(added);
+                for row in idx.upto..rd.len {
+                    let key = K::of_row(cols, &rd.cols, row);
+                    idx.map.entry(key).or_default().push(row);
+                }
+                idx.upto = rd.len;
+            }
+        }
+        let indexes = registry.read().expect(POISONED);
+        f(indexes.get(cols).expect("index caught up above"))
+    }
+
+    /// Replace `out` with the candidate rows, ascending, for an atom over
+    /// `rel` whose columns `bound` are fixed to the paired values (strictly
+    /// ascending columns). Every row matching all of `bound` is among them.
+    ///
+    /// The rule, shared by every executor: probe the index of the most
+    /// selective bound column (the first of equally selective ones); when at
+    /// least two columns are bound and that probe would still return more
+    /// than `composite_threshold` rows, probe the composite index over all
+    /// of them instead (`usize::MAX` never escalates) — it pays off when no
+    /// single column is selective but the combination is (e.g. TPC-H
+    /// `Partsupp(partkey, suppkey)`); scan when nothing is bound.
+    pub fn candidates<B>(
+        &self,
+        rel: RelId,
+        bound: B,
+        composite_threshold: usize,
+        out: &mut Vec<u32>,
+    ) where
+        B: IntoIterator<Item = (u32, Value)> + Clone,
+    {
+        out.clear();
+        let mut best: Option<(u32, Value, usize)> = None;
+        let mut bound_cols = 0;
+        for (col, value) in bound.clone() {
+            bound_cols += 1;
+            let len = self.with_index(rel, &col, |idx: &HashIndex<Value>| idx.get(&value).len());
+            if best.is_none_or(|(_, _, blen)| len < blen) {
+                best = Some((col, value, len));
+            }
+        }
+        match best {
+            Some((_, _, len)) if bound_cols >= 2 && len > composite_threshold => {
+                let (cols, values): (Vec<u32>, Vec<Value>) = bound.into_iter().unzip();
+                self.with_index(rel, &cols[..], |idx: &HashIndex<Box<[Value]>>| {
+                    out.extend_from_slice(idx.get(&values[..]));
+                });
+            }
+            Some((col, value, _)) => {
+                self.with_index(rel, &col, |idx: &HashIndex<Value>| {
+                    out.extend_from_slice(idx.get(&value));
+                });
+            }
+            None => out.extend(0..self.rel_len(rel)),
+        }
     }
 
     /// Build a new instance by applying `f` to every value of every tuple
@@ -715,6 +639,22 @@ mod tests {
         }
     }
 
+    /// Rows of `rel` whose column `col` equals `value`, by the shared
+    /// candidate rule (one bound column: a single-column probe).
+    fn probe(inst: &Instance, rel: RelId, col: u32, value: Value) -> Vec<u32> {
+        let mut out = Vec::new();
+        inst.candidates(rel, [(col, value)], 0, &mut out);
+        out
+    }
+
+    /// Rows of `rel` whose column set `cols` equals `values` pointwise,
+    /// through the composite index.
+    fn probe_composite(inst: &Instance, rel: RelId, cols: &[u32], values: &[Value]) -> Vec<u32> {
+        inst.with_index(rel, cols, |idx: &HashIndex<Box<[Value]>>| {
+            idx.get(values).to_vec()
+        })
+    }
+
     #[test]
     fn probe_uses_index_and_catches_up_after_inserts() {
         let (s, r, _) = schema2();
@@ -722,18 +662,14 @@ mod tests {
         for i in 0..10 {
             inst.insert_ok(r, &[Value::Int(i % 3), Value::Int(i)]);
         }
-        let mut out = Vec::new();
-        inst.probe_into(r, 0, Value::Int(0), &mut out);
+        let out = probe(&inst, r, 0, Value::Int(0));
         let expected: Vec<u32> = (0..10).filter(|i| i % 3 == 0).collect();
         assert_eq!(out, expected);
 
         // Insert more rows after the index exists; probe must see them.
         inst.insert_ok(r, &[Value::Int(0), Value::Int(100)]);
-        out.clear();
-        inst.probe_into(r, 0, Value::Int(0), &mut out);
-        assert_eq!(out.len(), expected.len() + 1);
-        assert_eq!(inst.probe_len(r, 0, Value::Int(0)), expected.len() + 1);
-        assert_eq!(inst.probe_len(r, 0, Value::Int(77)), 0);
+        assert_eq!(probe(&inst, r, 0, Value::Int(0)).len(), expected.len() + 1);
+        assert!(probe(&inst, r, 0, Value::Int(77)).is_empty());
     }
 
     #[test]
@@ -743,8 +679,7 @@ mod tests {
         for i in 0..30 {
             inst.insert_ok(r, &[Value::Int(i % 3), Value::Int(i % 5)]);
         }
-        let mut out = Vec::new();
-        inst.probe_multi_into(r, &[0, 1], &[Value::Int(1), Value::Int(2)], &mut out);
+        let out = probe_composite(&inst, r, &[0, 1], &[Value::Int(1), Value::Int(2)]);
         let expected: Vec<u32> = (0..inst.rel_len(r))
             .filter(|&row| {
                 let t = inst.tuple(TupleId { rel: r, row });
@@ -755,19 +690,14 @@ mod tests {
         assert!(!expected.is_empty());
         // Catch-up after later inserts: a brand-new key appears in an
         // already-built index.
-        assert_eq!(
-            inst.probe_multi_len(r, &[0, 1], &[Value::Int(9), Value::Int(9)]),
-            0
-        );
-        inst.insert_ok(r, &[Value::Int(9), Value::Int(9)]);
-        assert_eq!(
-            inst.probe_multi_len(r, &[0, 1], &[Value::Int(9), Value::Int(9)]),
-            1
-        );
+        let nine = [Value::Int(9), Value::Int(9)];
+        assert!(probe_composite(&inst, r, &[0, 1], &nine).is_empty());
+        inst.insert_ok(r, &nine);
+        assert_eq!(probe_composite(&inst, r, &[0, 1], &nine).len(), 1);
         // Existing keys are unaffected.
         assert_eq!(
-            inst.probe_multi_len(r, &[0, 1], &[Value::Int(1), Value::Int(2)]),
-            expected.len()
+            probe_composite(&inst, r, &[0, 1], &[Value::Int(1), Value::Int(2)]),
+            expected
         );
     }
 
@@ -788,11 +718,9 @@ mod tests {
                 let inst = &inst;
                 let expected = &expected;
                 scope.spawn(move || {
-                    let mut out = Vec::new();
-                    inst.probe_into(r, 0, Value::Int(3), &mut out);
-                    assert_eq!(&out, expected);
+                    assert_eq!(&probe(inst, r, 0, Value::Int(3)), expected);
                     assert_eq!(
-                        inst.probe_multi_len(r, &[0, 1], &[Value::Int(3), Value::Int(5)]),
+                        probe_composite(inst, r, &[0, 1], &[Value::Int(3), Value::Int(5)]).len(),
                         (0..inst.rel_len(r))
                             .filter(|&row| {
                                 let t = inst.tuple(TupleId { rel: r, row });
@@ -817,7 +745,7 @@ mod tests {
             inst.insert_ok(r, &[Value::Int(i % 7), Value::Int(i)]);
         }
         let hits = (0..500).filter(|i| i % 7 == 3).count();
-        assert_eq!(inst.probe_len(r, 0, Value::Int(3)), hits);
+        assert_eq!(probe(&inst, r, 0, Value::Int(3)).len(), hits);
         assert_eq!(inst.index_build_rows(), 500);
 
         // Simulate an edit batch's snapshot churn: clone repeatedly without
@@ -831,11 +759,11 @@ mod tests {
 
         // The first probe on a clone lazily rebuilds (500 rows, once) and
         // agrees with the original.
-        assert_eq!(snap.probe_len(r, 0, Value::Int(3)), hits);
+        assert_eq!(probe(&snap, r, 0, Value::Int(3)).len(), hits);
         assert_eq!(snap.index_build_rows(), 500);
         // A second probe reuses the rebuilt index.
         let hits4 = (0..500).filter(|i| i % 7 == 4).count();
-        assert_eq!(snap.probe_len(r, 0, Value::Int(4)), hits4);
+        assert_eq!(probe(&snap, r, 0, Value::Int(4)).len(), hits4);
         assert_eq!(snap.index_build_rows(), 500);
     }
 

@@ -11,8 +11,10 @@
 //! * [`Instance`] — an append-only, duplicate-eliminating tuple store per
 //!   relation. Row positions are stable, so a [`TupleId`] is a durable identity
 //!   for a fact; routes are expressed in terms of these identities.
-//! * Incremental per-column hash indexes, built lazily and caught up on demand
-//!   (instances are append-only, so indexes never need invalidation).
+//! * [`HashIndex`] — lazily built single-column and composite hash indexes,
+//!   caught up on demand (instances are append-only, so indexes never need
+//!   invalidation), and [`Instance::candidates`], the one rule every join
+//!   executor uses to pick an atom's candidate rows.
 //! * [`Term`] / [`Atom`] — the syntactic building blocks shared by the
 //!   conjunctive-query evaluator and the dependency (tgd/egd) types.
 //!
@@ -30,7 +32,7 @@ pub mod value;
 pub use atom::{Atom, Term, Var};
 pub use display::{fact_to_string, tuple_to_string, write_tuple};
 pub use error::ModelError;
-pub use instance::{ColProbe, Fact, Instance, MultiProbe, Side, TupleId};
+pub use instance::{Fact, HashIndex, IndexKey, Instance, Side, TupleId};
 pub use joinstats::JoinSnapshot;
 pub use schema::{RelId, Relation, Schema};
 pub use value::{NullId, Symbol, Value, ValuePool};

@@ -1,9 +1,8 @@
 //! Vectorized batch join evaluation over the columnar instance store.
 //!
 //! [`MatchIter`](crate::MatchIter) evaluates one candidate binding at a time:
-//! every join depth re-plans its access path, re-allocates its bound-column
-//! list, and issues `k + 1` locked hash lookups per binding, copying each
-//! posting list into a per-depth buffer. That is the right shape for
+//! every join depth re-plans its access path and issues `k + 1` locked hash
+//! lookups per binding, copying each posting list into a per-depth buffer. That is the right shape for
 //! `ComputeOneRoute`, which wants the *first* match as lazily as possible —
 //! but the chase saturation loop and wave-parallel `computeAllRoutes` drain
 //! entire match sets, where per-binding overhead dominates.
@@ -16,10 +15,10 @@
 //!   checks, output layout, and the access path are all fixed before the
 //!   first row flows. Morsels reuse per-depth output buffers, so the steady
 //!   state allocates nothing.
-//! - **Pinned indexes.** Each stage pins its hash index for a whole morsel
-//!   ([`Instance::with_col_probe`]): one lock acquisition per morsel instead
-//!   of one per row, and probes return posting lists by reference instead of
-//!   copying them.
+//! - **Pinned indexes.** Each stage borrows its hash index for a whole
+//!   morsel ([`Instance::with_index`]): one lock acquisition per morsel
+//!   instead of one per row, and probes return posting lists by reference
+//!   instead of copying them.
 //! - **Duplicate-key memo.** Consecutive input rows with equal probe keys
 //!   reuse the previous posting list without re-hashing — many-to-one joins
 //!   emit long runs of equal keys, so this removes most probes outright.
@@ -59,7 +58,7 @@
 
 use std::ops::Range;
 
-use routes_model::{joinstats, Atom, Instance, Term, Value, Var};
+use routes_model::{joinstats, Atom, HashIndex, Instance, Term, Value, Var};
 
 use crate::bindings::Bindings;
 use crate::eval::EvalOptions;
@@ -131,7 +130,7 @@ enum Access {
     /// Several bound columns: pin the composite index over all of them.
     Composite,
     /// `composite_threshold == usize::MAX` ablation baseline: per-row
-    /// most-selective single-column probe with full re-checks, matching the
+    /// [`Instance::candidates`] with full re-checks, matching the
     /// row-at-a-time executor with composite indexes disabled.
     Ablation,
 }
@@ -371,7 +370,7 @@ impl<'a> Stage<'a> {
             }
             Access::Single => {
                 let key0 = keys[0];
-                inst.with_col_probe(atom.rel, key_cols[0], |p| {
+                inst.with_index(atom.rel, &key_cols[0], |idx: &HashIndex<Value>| {
                     let mut prev: Option<Value> = None;
                     let mut cands: &[u32] = &[];
                     for row in range {
@@ -381,7 +380,7 @@ impl<'a> Stage<'a> {
                         };
                         if prev != Some(key) {
                             index_probes += 1;
-                            cands = p.probe(key);
+                            cands = idx.get(&key);
                             prev = Some(key);
                         }
                         rows_probed += cands.len() as u64;
@@ -399,7 +398,7 @@ impl<'a> Stage<'a> {
                 });
             }
             Access::Composite => {
-                inst.with_multi_probe(atom.rel, key_cols, |p| {
+                inst.with_index(atom.rel, &key_cols[..], |idx: &HashIndex<Box<[Value]>>| {
                     let mut have_prev = false;
                     let mut cands: &[u32] = &[];
                     for row in range {
@@ -410,7 +409,7 @@ impl<'a> Stage<'a> {
                         }));
                         if !have_prev || key_vals != prev_key {
                             index_probes += 1;
-                            cands = p.probe(key_vals);
+                            cands = idx.get(&key_vals[..]);
                             std::mem::swap(prev_key, key_vals);
                             have_prev = true;
                         }
@@ -437,22 +436,12 @@ impl<'a> Stage<'a> {
                         Key::In(pos) => input.cols[pos][row],
                     }));
                     if !have_prev || key_vals != prev_key {
-                        // No composite indexes: probe the most selective
-                        // single column and filter, exactly like the
-                        // row-at-a-time executor with the threshold
-                        // disabled.
-                        let mut best: Option<(u32, Value, usize)> = None;
-                        for (&col, &value) in key_cols.iter().zip(key_vals.iter()) {
-                            index_probes += 1;
-                            let len = inst.probe_len(atom.rel, col, value);
-                            if best.is_none_or(|(_, _, blen)| len < blen) {
-                                best = Some((col, value, len));
-                            }
-                        }
-                        let (col, value, _) = best.expect("keys is non-empty");
-                        index_probes += 1;
-                        cand.clear();
-                        inst.probe_into(atom.rel, col, value, cand);
+                        // No composite indexes: the row-at-a-time executor's
+                        // candidate rule with the threshold disabled (one
+                        // length probe per key column, then the probe).
+                        index_probes += key_vals.len() as u64 + 1;
+                        let bound = key_cols.iter().copied().zip(key_vals.iter().copied());
+                        inst.candidates(atom.rel, bound, usize::MAX, cand);
                         std::mem::swap(prev_key, key_vals);
                         have_prev = true;
                     }

@@ -170,18 +170,12 @@ impl<'a> MatchIter<'a> {
         }
     }
 
-    /// Populate the candidate rows for the atom at `depth`: scan when no
-    /// column is bound, probe the most selective single-column index when
-    /// that is selective enough, and escalate to a composite index over all
-    /// bound columns otherwise (see [`EvalOptions::composite_threshold`]).
+    /// Populate the candidate rows for the atom at `depth` ([`load_rows`]).
     fn load_candidates(&mut self, depth: usize) {
-        let atom = &self.atoms[self.order[depth]];
         self.pos[depth] = 0;
-        // Reuse the per-depth buffer; take it out to appease the borrow
-        // checker around `probe_into`.
-        let mut buf = std::mem::take(&mut self.candidates[depth]);
-        load_rows(self.inst, atom, &self.bindings, self.options, &mut buf);
-        self.candidates[depth] = buf;
+        let atom = &self.atoms[self.order[depth]];
+        let buf = &mut self.candidates[depth];
+        load_rows(self.inst, atom, &self.bindings, self.options, buf);
     }
 
     /// Attempt to match the atom at `depth` against `row`: check bound
@@ -217,9 +211,8 @@ impl<'a> MatchIter<'a> {
 }
 
 /// Candidate rows for `atom` under `bindings`, exactly as the executor loads
-/// them at each join depth: probe the most selective single-column index,
-/// escalate to a composite probe over all bound columns past
-/// [`EvalOptions::composite_threshold`], and scan when nothing is bound.
+/// them at each join depth: [`Instance::candidates`] over the atom's
+/// constant and bound-variable columns.
 fn load_rows(
     inst: &Instance,
     atom: &Atom,
@@ -227,37 +220,16 @@ fn load_rows(
     options: EvalOptions,
     buf: &mut Vec<u32>,
 ) {
-    buf.clear();
-    // Collect the bound columns (in column order, hence sorted).
-    let mut bound: Vec<(u32, Value)> = Vec::new();
-    for (col, term) in atom.terms.iter().enumerate() {
-        let value = match term {
+    // A repeated variable bound twice contributes one pair per column,
+    // which is what the composite key needs.
+    let bound = atom.terms.iter().enumerate().filter_map(|(col, term)| {
+        let value: Option<Value> = match term {
             Term::Const(c) => Some(*c),
             Term::Var(v) => bindings.get(*v),
         };
-        if let Some(value) = value {
-            // A repeated variable bound twice contributes one entry per
-            // column, which is what the composite key needs.
-            bound.push((col as u32, value));
-        }
-    }
-    // Most selective single column.
-    let mut best: Option<(u32, Value, usize)> = None;
-    for &(col, value) in &bound {
-        let len = inst.probe_len(atom.rel, col, value);
-        if best.is_none_or(|(_, _, blen)| len < blen) {
-            best = Some((col, value, len));
-        }
-    }
-    match best {
-        Some((_, _, best_len)) if bound.len() >= 2 && best_len > options.composite_threshold => {
-            let cols: Vec<u32> = bound.iter().map(|&(c, _)| c).collect();
-            let values: Vec<Value> = bound.iter().map(|&(_, v)| v).collect();
-            inst.probe_multi_into(atom.rel, &cols, &values, buf);
-        }
-        Some((col, value, _)) => inst.probe_into(atom.rel, col, value, buf),
-        None => buf.extend(0..inst.rel_len(atom.rel)),
-    }
+        value.map(|value| (col as u32, value))
+    });
+    inst.candidates(atom.rel, bound, options.composite_threshold, buf);
 }
 
 /// A conjunction decomposed for partitioned (anchored) evaluation: the
@@ -284,16 +256,6 @@ pub struct AnchoredPlan {
 /// Decompose `atoms` for anchored evaluation (see [`AnchoredPlan`]). Returns
 /// `None` for the empty conjunction, whose single match is `init` itself.
 pub fn anchored_plan(inst: &Instance, atoms: &[Atom], init: &Bindings) -> Option<AnchoredPlan> {
-    anchored_plan_with_options(inst, atoms, init, EvalOptions::default())
-}
-
-/// [`anchored_plan`] with explicit executor options.
-pub fn anchored_plan_with_options(
-    inst: &Instance,
-    atoms: &[Atom],
-    init: &Bindings,
-    options: EvalOptions,
-) -> Option<AnchoredPlan> {
     let mut order = plan(inst, atoms, init);
     if order.is_empty() {
         return None;
@@ -301,7 +263,7 @@ pub fn anchored_plan_with_options(
     let suffix = order.split_off(1);
     let outer = order[0];
     let mut rows = Vec::new();
-    load_rows(inst, &atoms[outer], init, options, &mut rows);
+    load_rows(inst, &atoms[outer], init, EvalOptions::default(), &mut rows);
     Some(AnchoredPlan {
         outer,
         rows,

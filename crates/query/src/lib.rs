@@ -33,7 +33,6 @@ pub use batch::{
 };
 pub use bindings::{unify_atom, Bindings};
 pub use eval::{
-    all_matches, anchored_plan, anchored_plan_with_options, first_match, satisfiable, AnchoredPlan,
-    EvalOptions, MatchIter,
+    all_matches, anchored_plan, first_match, satisfiable, AnchoredPlan, EvalOptions, MatchIter,
 };
 pub use plan::{plan, plan_to_string, plan_with_bound};

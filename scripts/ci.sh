@@ -19,6 +19,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # public API. Build and test it where `perfbench/run.sh` builds it;
 # --locked keeps perfbench/Cargo.lock as committed.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+# The workspace lint steps above never see perfbench either: hold it to the
+# same formatting and clippy bar, against the API it compiles with.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Parallel-execution determinism gate: the chase and route-forest results
 # must be byte-identical to sequential at every worker count. Run the

@@ -19,8 +19,10 @@
 //!    edit), edits touching a forest's support invalidate it, and the
 //!    post-edit answers equal those of a session created directly from the
 //!    final text. Method/route mismatches answer 405 with an `Allow`
-//!    header. Runs under whatever `ROUTES_SESSION_SHARDS` the CI matrix
-//!    sets.
+//!    header, and op lines that would smuggle scenario structure into the
+//!    text (section headers, dependency continuations) answer 422 without
+//!    touching the session. Runs under whatever `ROUTES_SESSION_SHARDS` the
+//!    CI matrix sets.
 //! 3. **Restart replay** — edits are WAL records: a server restarted on
 //!    the same data directory reconstructs the edited scenario (same
 //!    all-routes bytes) and continues the edit sequence where it left off.
@@ -826,5 +828,100 @@ fn restart_replays_edit_records_to_the_same_state() {
         Some(3),
         "the edit sequence continues across restarts"
     );
+    shutdown(addr, handle);
+}
+
+/// Op batches whose lines would edit the scenario's structure rather than
+/// add one row or one dependency: a newline followed by a section header
+/// (which re-declares a schema under the live instance, or supplies target
+/// data the chase would never run on), a lone `target data:` header, a
+/// dependency continuation that extends the existing `m`, and an unfinished
+/// dependency that the next op's line would complete.
+fn injection_batches() -> Vec<Vec<routes_store::EditOp>> {
+    use routes_store::EditOp::{AddTgd, InsertTuple};
+    let insert = |line: &str| InsertTuple { line: line.into() };
+    let add = |line: &str| AddTgd { line: line.into() };
+    vec![
+        vec![insert("S(5, 6)\nsource schema:\n  Z(a)")],
+        vec![insert("S(5, 6)\ntarget schema:\n  Z(a)")],
+        vec![insert("S(5, 6)\ntarget data:\n  T(9, 9)")],
+        vec![insert("target data:")],
+        vec![add("& V(x)")],
+        vec![add("g1: S(x, y) -> T(x, y) &"), add("V(x)")],
+    ]
+}
+
+/// An op batch as the edit endpoint's JSON body.
+fn edit_body(ops: &[routes_store::EditOp]) -> String {
+    use routes_store::EditOp::{AddTgd, InsertTuple};
+    let ops: Vec<String> = ops
+        .iter()
+        .map(|op| match op {
+            InsertTuple { line } => ("insert_tuple", line),
+            AddTgd { line } => ("add_tgd", line),
+            other => panic!("not a line op: {other:?}"),
+        })
+        .map(|(op, line)| {
+            format!(
+                r#"{{"op": "{op}", "line": {}}}"#,
+                Json::from(line.as_str()).encode()
+            )
+        })
+        .collect();
+    format!(r#"{{"ops": [{}]}}"#, ops.join(", "))
+}
+
+#[test]
+fn apply_edits_rejects_lines_that_inject_scenario_text() {
+    for ops in injection_batches() {
+        match routes_incr::apply_edits(HTTP_SCENARIO, &ops) {
+            Err(routes_incr::EditError::Invalid(_)) => {}
+            other => panic!(
+                "{ops:?} must be rejected as invalid, got {:?}",
+                other.map(|(text, _)| text)
+            ),
+        }
+    }
+}
+
+#[test]
+fn injected_scenario_text_is_rejected_over_http_and_the_session_stays_editable() {
+    let tmp = TempDir::new("incr-inject");
+    let (addr, handle) = start(config_with_dir(tmp.path()));
+    let mut c = Client::connect(addr);
+    let (status, _, body) = c.request("POST", "/sessions", Some(&create_body(HTTP_SCENARIO)));
+    assert_eq!(status, 201, "{body:?}");
+    let id = body.get("session").unwrap().as_u64().unwrap();
+    let path = format!("/sessions/{id}/edit");
+    for (k, ops) in injection_batches().iter().enumerate() {
+        let (status, _, body) = c.request("POST", &path, Some(&edit_body(ops)));
+        assert_eq!(status, 422, "{ops:?} -> {body:?}");
+        // Still editable: a plain insert applies as the next edit.
+        let line = format!("M({})", 100 + k);
+        let plain = edit_body(&[routes_store::EditOp::InsertTuple { line }]);
+        let (status, _, body) = c.request("POST", &path, Some(&plain));
+        assert_eq!(status, 200, "after {ops:?}: {body:?}");
+        assert_eq!(body.get("edit_seq").unwrap().as_u64(), Some(k as u64 + 1));
+    }
+    // The session answers like one created from its own text: the base
+    // scenario plus exactly the plain inserts.
+    let select = r#"{"tuples": [{"relation": "V", "row": 3}]}"#;
+    let (status, _, edited) =
+        c.request("POST", &format!("/sessions/{id}/all-routes"), Some(select));
+    assert_eq!(status, 200, "{edited:?}");
+    let inserts: String = (0..injection_batches().len())
+        .map(|k| format!("\nsource data:\n  M({})", 100 + k))
+        .collect();
+    let twin_text = format!("{HTTP_SCENARIO}{inserts}\n");
+    let (status, _, body) = c.request("POST", "/sessions", Some(&create_body(&twin_text)));
+    assert_eq!(status, 201, "{body:?}");
+    let twin = body.get("session").unwrap().as_u64().unwrap();
+    let (status, _, expected) = c.request(
+        "POST",
+        &format!("/sessions/{twin}/all-routes"),
+        Some(select),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(answer_of(&edited), answer_of(&expected));
     shutdown(addr, handle);
 }
