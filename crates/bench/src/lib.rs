@@ -59,10 +59,10 @@ pub fn measure<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
     (avg, result.expect("f ran"))
 }
 
-/// Format a duration in seconds with millisecond precision (the paper's
-/// plots are in seconds).
+/// Format a duration in seconds with microsecond precision (the paper's
+/// plots are in seconds; sub-millisecond rows need the extra digits).
 pub fn secs(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
+    format!("{:.6}", d.as_secs_f64())
 }
 
 /// Median-of-N timing with warmup, the std replacement for the retired

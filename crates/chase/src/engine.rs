@@ -343,16 +343,28 @@ impl Engine<'_> {
         let mut inserted = Vec::new();
         for ti in 0..self.mapping.st_tgds().len() {
             let started = Instant::now();
-            let pending = match self.st_matches {
-                Some(provided) => provided[ti].clone(),
-                None => lhs_matches(self.source, &self.mapping.st_tgds()[ti], self.workers),
-            };
-            self.tgd_stats[ti].matches += pending.len() as u64;
             let before = inserted.len();
-            for b in pending {
-                self.fire(true, ti as u32, b, &mut inserted)?;
-            }
+            // Provided matches are borrowed and cloned one at a time as
+            // they fire, never copied as a whole list.
+            let matches = match self.st_matches {
+                Some(provided) => {
+                    for b in &provided[ti] {
+                        self.fire(true, ti as u32, b.clone(), &mut inserted)?;
+                    }
+                    provided[ti].len()
+                }
+                None => {
+                    let pending =
+                        lhs_matches(self.source, &self.mapping.st_tgds()[ti], self.workers);
+                    let matches = pending.len();
+                    for b in pending {
+                        self.fire(true, ti as u32, b, &mut inserted)?;
+                    }
+                    matches
+                }
+            };
             let stat = &mut self.tgd_stats[ti];
+            stat.matches += matches as u64;
             stat.fired += (inserted.len() - before) as u64;
             stat.wall_us += started.elapsed().as_micros() as u64;
         }

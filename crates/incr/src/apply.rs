@@ -13,7 +13,8 @@
 //! 3. Maintain each s-t tgd's match memo: remap survivors to new row ids,
 //!    join only the inserted rows for new matches ([`delta_vectors`]), and
 //!    sort the union into the engine's enumeration order. Unknown or
-//!    re-signed tgds fall back to a full single-tgd enumeration.
+//!    re-signed tgds fall back to a full single-tgd enumeration
+//!    ([`full_matches`]), whose bindings the engine fires as they are.
 //! 4. Replay the chase through [`chase_with_st_matches`], which fires the
 //!    memoized matches in order — producing a solution byte-identical to a
 //!    from-scratch chase of the edited scenario, by construction, at every
@@ -36,7 +37,7 @@ use routes_store::EditOp;
 
 use crate::edit::{apply_edits, EditError};
 use crate::memo::{
-    delta_vectors, full_vectors, sort_to_plan_order, vectors_to_bindings, IncrState, TgdMemo,
+    delta_vectors, full_matches, sort_to_plan_order, vectors_to_bindings, IncrState, TgdMemo,
 };
 
 /// The result of applying one edit batch.
@@ -215,7 +216,7 @@ pub fn apply_batch(
     for tgd in mapping.st_tgds() {
         let sig = tgd_to_string(&pool, mapping.source(), mapping.target(), tgd);
         let warm = state.memos.get(tgd.name()).filter(|m| m.sig == sig);
-        let mut vectors = match warm {
+        let (vectors, bindings) = match warm {
             Some(memo) => {
                 memo_hits += 1;
                 let mut vs: Vec<Vec<u32>> = memo
@@ -229,15 +230,18 @@ pub fn apply_batch(
                     })
                     .collect();
                 vs.extend(delta_vectors(&source, tgd, &sdiff.inserted, workers));
-                vs
+                sort_to_plan_order(&source, tgd, &mut vs);
+                let bindings = vectors_to_bindings(&source, tgd, &vs);
+                (vs, bindings)
             }
+            // Already in the engine's order: fire the enumerated bindings
+            // and keep the vectors only for the next batch's memo.
             None => {
                 memo_misses += 1;
-                full_vectors(&source, tgd, workers)
+                full_matches(&source, tgd, workers)
             }
         };
-        sort_to_plan_order(&source, tgd, &mut vectors);
-        match_lists.push(vectors_to_bindings(&source, tgd, &vectors));
+        match_lists.push(bindings);
         next.memos
             .insert(tgd.name().to_owned(), TgdMemo { sig, vectors });
     }

@@ -68,14 +68,21 @@ fn vector_of(inst: &Instance, lhs: &[routes_model::Atom], b: &Bindings) -> Vec<u
         .collect()
 }
 
-/// Enumerate *all* LHS matches of `tgd` over `source` as row vectors, in the
-/// chase engine's order (the cold path, and the oracle the warm path must
-/// reproduce).
-pub fn full_vectors(source: &Instance, tgd: &Tgd, workers: &Pool) -> Vec<Vec<u32>> {
-    lhs_matches(source, tgd, workers)
+/// Enumerate *all* LHS matches of `tgd` over `source` in the chase
+/// engine's order: each match's row vector (for the memo) and the bindings
+/// themselves (for the engine to fire). The cold path, and the oracle the
+/// warm path must reproduce.
+pub fn full_matches(
+    source: &Instance,
+    tgd: &Tgd,
+    workers: &Pool,
+) -> (Vec<Vec<u32>>, Vec<Bindings>) {
+    let bindings = lhs_matches(source, tgd, workers);
+    let vectors = bindings
         .iter()
         .map(|b| vector_of(source, tgd.lhs(), b))
-        .collect()
+        .collect();
+    (vectors, bindings)
 }
 
 /// Enumerate the matches of `tgd` over `source` that use at least one row
@@ -157,14 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn full_vectors_match_the_sequential_join() {
+    fn full_matches_match_the_sequential_join() {
         let (_, _, i, _, tgd) = setup();
-        let vectors = full_vectors(&i, &tgd, &Pool::sequential());
+        let (vectors, bindings) = full_matches(&i, &tgd, &Pool::sequential());
         // Paths of length two: 0->1->2, 1->2->3, 0->2->3.
         assert_eq!(vectors.len(), 3);
-        // Each vector grounds to a valid match.
+        // Each vector grounds to a valid match: the very bindings returned,
+        // in the same order, so the cold path fires them as they are.
         let bs = vectors_to_bindings(&i, &tgd, &vectors);
-        assert_eq!(bs.len(), 3);
+        assert_eq!(bs, bindings);
         assert!(bs.iter().all(|b| {
             tgd.lhs()
                 .iter()
@@ -176,7 +184,7 @@ mod tests {
     fn delta_plus_survivors_equals_full_after_insert() {
         let (s, _, mut i, _, tgd) = setup();
         let e = s.rel_id("S").unwrap();
-        let old = full_vectors(&i, &tgd, &Pool::sequential());
+        let (old, _) = full_matches(&i, &tgd, &Pool::sequential());
         // Insert 3->0, closing cycles: new two-paths through it.
         let new_row = i.insert_ok(e, &[Value::Int(3), Value::Int(0)]).row;
         let mut inserted: HashMap<RelId, HashSet<u32>> = HashMap::new();
@@ -184,7 +192,7 @@ mod tests {
         let mut merged = old.clone();
         merged.extend(delta_vectors(&i, &tgd, &inserted, &Pool::sequential()));
         sort_to_plan_order(&i, &tgd, &mut merged);
-        assert_eq!(merged, full_vectors(&i, &tgd, &Pool::sequential()));
+        assert_eq!(merged, full_matches(&i, &tgd, &Pool::sequential()).0);
     }
 
     #[test]
@@ -261,7 +269,8 @@ mod tests {
             }
             for threads in [1, 2] {
                 let workers = Pool::new(threads);
-                let mut merged: Vec<Vec<u32>> = full_vectors(&old, &tgd, &workers)
+                let mut merged: Vec<Vec<u32>> = full_matches(&old, &tgd, &workers)
+                    .0
                     .iter()
                     .filter_map(|v| {
                         v.iter()
@@ -275,7 +284,7 @@ mod tests {
                 added += delta.len();
                 merged.extend(delta);
                 sort_to_plan_order(&new, &tgd, &mut merged);
-                let full = full_vectors(&new, &tgd, &workers);
+                let (full, _) = full_matches(&new, &tgd, &workers);
                 assert!(
                     merged == full,
                     "case {case}, {threads} worker(s): {} maintained vs {} enumerated",

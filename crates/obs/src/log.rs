@@ -14,6 +14,7 @@
 //! time with [`set_level`] (the `--log-level` flag). The sink is stderr
 //! unless a test or benchmark installs its own with [`set_sink`].
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -149,22 +150,33 @@ impl From<bool> for Value<'_> {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal (quotes included).
+/// Append `s` to `out` as a quoted JSON string: `"`, `\` and control
+/// characters are escaped, and each run of bytes between them is copied
+/// with one `push_str`. The workspace's only string escaper, shared by
+/// log records, `routes-server`'s `Json::encode` and its route-answer
+/// writer.
 pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -197,7 +209,7 @@ pub fn log(level: Level, event: &str, fields: &[(&str, Value<'_>)]) {
     }
     let ts_us = SystemTime::now()
         .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
+        .map(crate::micros)
         .unwrap_or(0);
     let mut line = String::with_capacity(96 + 24 * fields.len());
     line.push_str("{\"ts_us\":");
@@ -270,6 +282,49 @@ mod tests {
         let mut out = String::new();
         push_json_string(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+    }
+
+    #[test]
+    fn escaper_matches_the_char_by_char_rule() {
+        // Per char: `"`, `\` and the C0 controls are escaped, everything
+        // else (DEL and all non-ASCII included) passes through.
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let mut samples: Vec<String> = (0u8..0x80).map(|b| format!("a{}b", b as char)).collect();
+        samples.extend(
+            [
+                "",
+                "plain",
+                "say \"hi\"",
+                "C:\\tmp",
+                "\ttab\r\n",
+                "é😀\u{1}",
+                "\u{7f}\u{80}\u{1f}",
+                "\\\"\\",
+            ]
+            .map(String::from),
+        );
+        for s in &samples {
+            let mut out = String::new();
+            push_json_string(&mut out, s);
+            assert_eq!(out, reference(s), "{s:?}");
+        }
     }
 
     #[test]

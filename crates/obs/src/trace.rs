@@ -1,4 +1,5 @@
-//! Span-based request tracing with deterministic trace IDs.
+//! Span-based request tracing with deterministic trace IDs, and the one
+//! timer every measured interval goes through.
 //!
 //! ## Trace IDs
 //!
@@ -9,29 +10,38 @@
 //! clock and no OS randomness in the minting path, so a fixed seed yields
 //! a fixed ID sequence: tests and replay runs are deterministic.
 //!
-//! ## Spans
+//! ## Spans and timers
 //!
 //! A span is a named interval measured on the monotonic clock
-//! ([`std::time::Instant`]) and recorded **on completion** into the
-//! tracer's fixed-capacity ring buffer. The ring is a mutex around
-//! preallocated [`SpanRecord`] slots — records are `Copy`, a push is a
-//! slot overwrite, and the hot path allocates nothing after startup. At
-//! capacity the ring overwrites oldest-first.
+//! ([`std::time::Instant`]). One guard, [`Span`], measures it once and
+//! feeds every view from that reading when it ends: an optional
+//! histogram sink (count and µs total), the current request's per-name
+//! totals ([`current_total_us`], the slow-request breakdown), the
+//! tracer's ring buffer when tracing is on, and — while it is open — the
+//! sampling profiler's frame stack. [`span`] opens one without a sink: it
+//! reads no clock unless tracing records it. [`timer`] always reads the
+//! clock. Intervals measured elsewhere (a chase's wall time, an admission
+//! queue wait, a lock wait) enter the same views through [`record`].
+//!
+//! The ring is a mutex around preallocated [`SpanRecord`] slots — records
+//! are `Copy`, a push is a slot overwrite, and the hot path allocates
+//! nothing after startup. At capacity the ring overwrites oldest-first.
 //!
 //! ## Context propagation
 //!
-//! The current request's [`TraceCtx`] lives in a thread-local. The server
-//! installs it for the duration of a request ([`scoped`]); instrumented
-//! seams call [`span`], which is a no-op (no clock read, no clone) when no
-//! context is installed or tracing is disabled; `routes-pool` carries the
-//! context onto its scoped workers so spans opened inside a parallel
-//! region still land under the request's trace ID.
+//! The current request's [`TraceCtx`] (with its totals) lives in a
+//! thread-local. The server installs it for the duration of a request
+//! ([`scoped`]); `routes-pool` carries a copy onto its scoped workers so
+//! spans opened inside a parallel region still land under the request's
+//! trace ID (the totals stay with the request's own thread).
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use crate::{env_number, micros, Histogram};
 
 /// Environment variable disabling tracing (`0` / `off` / `false`).
 pub const TRACE_ENV: &str = "ROUTES_TRACE";
@@ -57,11 +67,7 @@ pub const MAX_TRACE_ID_LEN: usize = 64;
 
 /// The slow-request threshold: `ROUTES_SLOW_MS` or [`DEFAULT_SLOW_MS`].
 pub fn slow_threshold_from_env() -> Duration {
-    let ms = std::env::var(SLOW_MS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_SLOW_MS);
-    Duration::from_millis(ms)
+    Duration::from_millis(env_number(SLOW_MS_ENV).unwrap_or(DEFAULT_SLOW_MS))
 }
 
 /// A trace identifier, stored inline (no allocation on the hot path).
@@ -257,16 +263,11 @@ impl Tracer {
     /// `0` / `off` / `false`.
     pub fn from_env(capacity_override: Option<usize>) -> Tracer {
         let capacity = capacity_override.unwrap_or_else(|| {
-            std::env::var(TRACE_SPANS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
+            env_number(TRACE_SPANS_ENV)
                 .filter(|&n| n > 0)
                 .unwrap_or(DEFAULT_TRACE_SPANS)
         });
-        let seed = std::env::var(TRACE_SEED_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
+        let seed = env_number(TRACE_SEED_ENV).unwrap_or(0);
         let off = std::env::var(TRACE_ENV)
             .map(|v| {
                 matches!(
@@ -300,6 +301,7 @@ impl Tracer {
         TraceCtx {
             tracer: Arc::clone(self),
             id,
+            totals: Totals::EMPTY,
         }
     }
 
@@ -309,12 +311,8 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let start_us = start
-            .checked_duration_since(self.origin)
-            .unwrap_or(Duration::ZERO)
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let dur_us = dur.as_micros().min(u128::from(u64::MAX)) as u64;
+        let start_us = micros(start.saturating_duration_since(self.origin));
+        let dur_us = micros(dur);
         self.ring
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -339,46 +337,58 @@ impl Tracer {
             .unwrap_or_else(|e| e.into_inner())
             .recent_limited(limit)
     }
-
-    /// Sum the in-ring durations of `names[i]`-named spans belonging to
-    /// `trace`, returning one total (µs) per name. One pass under the
-    /// ring mutex with no cloning — cheap enough for the slow-request
-    /// log path.
-    pub fn phase_totals_us(&self, trace: TraceId, names: &[&'static str]) -> Vec<u64> {
-        let mut totals = vec![0u64; names.len()];
-        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        for slot in ring.slots.iter().take(ring.filled.min(ring.capacity)) {
-            if slot.trace != trace {
-                continue;
-            }
-            if let Some(i) = names.iter().position(|&n| n == slot.name) {
-                totals[i] = totals[i].saturating_add(slot.dur_us);
-            }
-        }
-        totals
-    }
 }
 
-/// One request's trace identity: the tracer plus the request's ID.
-/// Cloning is an `Arc` bump and a fixed-size copy — no allocation.
+/// One request's trace identity: the tracer, the request's ID, and the
+/// per-name totals of the intervals recorded under it. Cloning is an
+/// `Arc` bump and a fixed-size copy — no allocation.
 #[derive(Clone)]
 pub struct TraceCtx {
     tracer: Arc<Tracer>,
     id: TraceId,
+    totals: Totals,
+}
+
+/// How many distinct interval names one context totals; a name past the
+/// last slot is not totaled (the service records about a dozen).
+const TOTAL_SLOTS: usize = 16;
+
+/// Per-name µs totals in inline slots: installing or copying a context
+/// allocates nothing.
+#[derive(Clone, Copy)]
+struct Totals {
+    len: usize,
+    slots: [(&'static str, u64); TOTAL_SLOTS],
+}
+
+impl Totals {
+    const EMPTY: Totals = Totals {
+        len: 0,
+        slots: [("", 0); TOTAL_SLOTS],
+    };
+
+    fn add(&mut self, name: &'static str, us: u64) {
+        match self.slots[..self.len].iter_mut().find(|(n, _)| *n == name) {
+            Some((_, total)) => *total = total.saturating_add(us),
+            None if self.len < TOTAL_SLOTS => {
+                self.slots[self.len] = (name, us);
+                self.len += 1;
+            }
+            None => {}
+        }
+    }
+
+    fn get(&self, name: &str) -> u64 {
+        self.slots[..self.len]
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, us)| us)
+    }
 }
 
 impl TraceCtx {
     pub fn id(&self) -> TraceId {
         self.id
-    }
-
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// Record a completed span under this trace.
-    pub fn record(&self, name: &'static str, start: Instant, dur: Duration) {
-        self.tracer.record(self.id, name, start, dur);
     }
 }
 
@@ -387,7 +397,7 @@ thread_local! {
 }
 
 /// Replace the thread's current trace context, returning the previous one.
-pub fn set_current(ctx: Option<TraceCtx>) -> Option<TraceCtx> {
+fn set_current(ctx: Option<TraceCtx>) -> Option<TraceCtx> {
     CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), ctx))
 }
 
@@ -400,19 +410,6 @@ pub fn current() -> Option<TraceCtx> {
 /// bodies and log lines).
 pub fn current_trace_id() -> Option<TraceId> {
     CURRENT.with(|c| c.borrow().as_ref().map(TraceCtx::id))
-}
-
-/// Record an already-measured interval as a span under the thread's
-/// current context, if any. This is the hot-path alternative to [`span`]
-/// for seams that measure the interval anyway (e.g. lock-wait stats): no
-/// extra clock reads, no context clone — just the ring push when a
-/// context is installed and tracing is on.
-pub fn record_current(name: &'static str, start: Instant, dur: Duration) {
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            ctx.record(name, start, dur);
-        }
-    });
 }
 
 /// RAII installation of a trace context: restores the previous context on
@@ -435,50 +432,102 @@ impl Drop for ScopedCtx {
     }
 }
 
-/// An in-flight span guard: records into the current context's ring on
-/// drop. Inert (no clock read, no context clone) when no context is
-/// installed or its tracer is disabled. When the sampling profiler is
-/// on, the span's name is also held on the thread's frame stack for the
-/// guard's lifetime, independent of whether tracing records it.
-pub struct Span {
-    active: Option<(TraceCtx, Instant)>,
+/// The one timer: an open interval that, when it ends, feeds every view
+/// from a single clock reading — the histogram sink (count and µs total),
+/// the current context's per-name totals, and the trace ring when tracing
+/// is on. While it is open and the sampling profiler runs, its name is a
+/// frame on the thread's profiler stack.
+pub struct Span<'s> {
     name: &'static str,
+    sink: Option<&'s Histogram>,
+    /// `None` for a clock-free span (no sink, tracing off or no context).
+    start: Option<Instant>,
     frame_pushed: bool,
 }
 
-/// Open a span named `name` under the thread's current trace context.
-pub fn span(name: &'static str) -> Span {
-    let active = CURRENT.with(|c| {
-        let ctx = c.borrow();
-        match ctx.as_ref() {
-            Some(t) if t.tracer.enabled => Some((t.clone(), Instant::now())),
-            _ => None,
+/// Open a span with no sink under the thread's current trace context. It
+/// reads no clock unless the context's tracer records spans.
+pub fn span(name: &'static str) -> Span<'static> {
+    let recording = CURRENT.with(|c| c.borrow().as_ref().is_some_and(|t| t.tracer.enabled));
+    Span::open(name, None, recording)
+}
+
+/// Open a timer: a span that always reads the clock and, when it ends,
+/// also feeds `sink`.
+pub fn timer<'s>(name: &'static str, sink: Option<&'s Histogram>) -> Span<'s> {
+    Span::open(name, sink, true)
+}
+
+impl<'s> Span<'s> {
+    fn open(name: &'static str, sink: Option<&'s Histogram>, clocked: bool) -> Span<'s> {
+        let frame_pushed = crate::profile::push_frame(name);
+        Span {
+            name,
+            sink,
+            start: clocked.then(Instant::now),
+            frame_pushed,
         }
-    });
-    let frame_pushed = crate::profile::push_frame(name);
-    Span {
-        active,
-        name,
-        frame_pushed,
     }
-}
 
-impl Span {
-    /// Whether this span will record (context installed, tracing on).
+    /// Whether this span reads the clock (a timer, or a recording tracer).
     pub fn is_recording(&self) -> bool {
-        self.active.is_some()
+        self.start.is_some()
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if self.frame_pushed {
+    /// End the span now and return its duration (zero when clock-free).
+    pub fn end(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        if std::mem::take(&mut self.frame_pushed) {
             crate::profile::pop_frame();
         }
-        if let Some((ctx, start)) = self.active.take() {
-            ctx.record(self.name, start, start.elapsed());
-        }
+        let Some(start) = self.start.take() else {
+            return Duration::ZERO;
+        };
+        let dur = start.elapsed();
+        feed(self.name, self.sink, Some(start), dur);
+        dur
     }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// Record an interval the caller measured itself, ending now and lasting
+/// `dur`: it feeds what a [`Span`] feeds except the profiler frame. Its
+/// ring record, when tracing is on, starts `dur` before now.
+pub fn record(name: &'static str, sink: Option<&Histogram>, dur: Duration) {
+    feed(name, sink, None, dur);
+}
+
+/// The µs total of the `name` intervals recorded on this thread under
+/// its current trace context (0 without one).
+pub fn current_total_us(name: &str) -> u64 {
+    CURRENT.with(|c| c.borrow().as_ref().map_or(0, |ctx| ctx.totals.get(name)))
+}
+
+fn feed(name: &'static str, sink: Option<&Histogram>, start: Option<Instant>, dur: Duration) {
+    let us = micros(dur);
+    if let Some(sink) = sink {
+        sink.record(us);
+    }
+    CURRENT.with(|c| {
+        if let Some(ctx) = c.borrow_mut().as_mut() {
+            ctx.totals.add(name, us);
+            if ctx.tracer.enabled {
+                let start = start.unwrap_or_else(|| {
+                    let now = Instant::now();
+                    now.checked_sub(dur).unwrap_or(now)
+                });
+                ctx.tracer.record(ctx.id, name, start, dur);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -557,8 +606,58 @@ mod tests {
             let s = span("chase");
             assert!(!s.is_recording());
         }
-        ctx.record("request", Instant::now(), Duration::from_millis(2));
+        assert_eq!(
+            current_total_us("chase"),
+            0,
+            "a clock-free span totals nothing"
+        );
+        record("request", None, Duration::from_millis(2));
         assert!(tracer.recent().is_empty());
+        assert_eq!(current_total_us("request"), 2_000);
+    }
+
+    #[test]
+    fn one_timer_feeds_the_sink_the_totals_and_the_ring() {
+        static BOUNDS: [u64; 1] = [1_000_000];
+        let sink = Histogram::new(&BOUNDS);
+        for tracer in [Tracer::new(16, 0), Tracer::disabled()] {
+            let tracer = Arc::new(tracer);
+            let _guard = scoped(Some(tracer.begin(Some("timed"))));
+            let timed = timer("chase", Some(&sink));
+            assert!(timed.is_recording(), "a timer reads the clock");
+            std::thread::sleep(Duration::from_millis(1));
+            let first = micros(timed.end());
+            record("chase", Some(&sink), Duration::from_micros(7));
+            record("edit", None, Duration::from_micros(5));
+            assert!(first >= 1_000);
+            assert_eq!(current_total_us("chase"), first + 7);
+            assert_eq!(current_total_us("edit"), 5);
+            let ring: Vec<(&str, u64)> =
+                tracer.recent().iter().map(|r| (r.name, r.dur_us)).collect();
+            if tracer.is_enabled() {
+                assert_eq!(ring, [("chase", first), ("chase", 7), ("edit", 5)]);
+            } else {
+                assert!(ring.is_empty());
+            }
+        }
+        assert_eq!(sink.counts().sum::<u64>(), 4, "two samples per tracer");
+        assert_eq!(current_total_us("chase"), 0, "totals belong to the context");
+    }
+
+    #[test]
+    fn totals_past_the_slot_limit_are_dropped_not_misfiled() {
+        const NAMES: [&str; TOTAL_SLOTS + 1] = [
+            "n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9", "n10", "n11", "n12", "n13",
+            "n14", "n15", "n16",
+        ];
+        let mut totals = Totals::EMPTY;
+        for (k, name) in NAMES.into_iter().enumerate() {
+            totals.add(name, k as u64 + 1);
+        }
+        totals.add("n3", 10);
+        assert_eq!(totals.get("n3"), 14);
+        assert_eq!(totals.get("n15"), 16);
+        assert_eq!(totals.get("n16"), 0);
     }
 
     #[test]

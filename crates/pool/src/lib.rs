@@ -52,14 +52,10 @@ impl Pool {
     /// positive integer, otherwise [`std::thread::available_parallelism`]
     /// (falling back to 1 when even that is unavailable).
     pub fn from_env() -> Self {
-        let from_var = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        match from_var {
-            Some(n) => Pool::new(n),
-            None => Pool::new(thread::available_parallelism().map_or(1, NonZeroUsize::get)),
-        }
+        let threads = routes_obs::env_number(THREADS_ENV)
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+        Pool::new(threads)
     }
 
     /// The worker count.

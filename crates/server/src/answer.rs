@@ -23,7 +23,7 @@ use routes_mapping::TgdId;
 use routes_model::{write_tuple, Fact, Side, TupleId, Value, ValuePool, Var};
 use routes_pipeline::{PreparedPipeline, StitchedRoute};
 
-use crate::json::write_string;
+use routes_obs::push_json_string;
 
 /// `{"found":true,"validated":true,"produced_tuples":…,"steps":[…]}` for a
 /// route that replayed and produced `produced` tuples.
@@ -102,7 +102,7 @@ pub fn stitched(pipeline: &PreparedPipeline, stitched: &StitchedRoute) -> String
         w.out.push_str("{\"stage\":");
         w.uint(stage.stage);
         w.out.push_str(",\"name\":");
-        write_string(&mut w.out, &stage.name);
+        push_json_string(&mut w.out, &stage.name);
         w.out.push_str(",\"selection\":");
         w.uint(stage.selection.len());
         w.out.push_str(",\"steps\":");
@@ -145,7 +145,7 @@ impl<'a> Writer<'a> {
     fn value(&mut self, value: Value) {
         self.scratch.clear();
         let _ = write!(self.scratch, "{}", self.pool.display(value));
-        write_string(&mut self.out, &self.scratch);
+        push_json_string(&mut self.out, &self.scratch);
     }
 
     /// `{"relation":…,"row":…,"text":"Rel(v1, v2, ...)"}`.
@@ -160,13 +160,13 @@ impl<'a> Writer<'a> {
             Side::Target => (env.mapping.target(), env.target),
         };
         self.out.push_str("{\"relation\":");
-        write_string(&mut self.out, schema.relation(id.rel).name());
+        push_json_string(&mut self.out, schema.relation(id.rel).name());
         self.out.push_str(",\"row\":");
         self.uint(id.row as usize);
         self.out.push_str(",\"text\":");
         self.scratch.clear();
         write_tuple(&mut self.scratch, self.pool, schema, inst, id);
-        write_string(&mut self.out, &self.scratch);
+        push_json_string(&mut self.out, &self.scratch);
         self.out.push('}');
         self.seen.insert((side, id), start..self.out.len());
     }
@@ -209,13 +209,13 @@ impl<'a> Writer<'a> {
     ) {
         let tgd = env.mapping.tgd(tgd);
         self.out.push_str("{\"tgd\":");
-        write_string(&mut self.out, tgd.name());
+        push_json_string(&mut self.out, tgd.name());
         self.out.push_str(",\"hom\":{");
         for (v, &value) in hom[..tgd.var_count()].iter().enumerate() {
             if v > 0 {
                 self.out.push(',');
             }
-            write_string(&mut self.out, tgd.var_name(Var(v as u32)));
+            push_json_string(&mut self.out, tgd.var_name(Var(v as u32)));
             self.out.push(':');
             self.value(value);
         }

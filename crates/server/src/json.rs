@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use routes_obs::push_json_string;
+
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -83,7 +85,7 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => write_string(out, s),
+            Json::Str(s) => push_json_string(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -100,7 +102,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(out, k);
+                    push_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -144,35 +146,6 @@ impl From<bool> for Json {
     fn from(b: bool) -> Json {
         Json::Bool(b)
     }
-}
-
-/// Append `s` as a quoted JSON string: `"`, `\` and control characters
-/// are escaped, and each run of bytes between them is copied with one
-/// `push_str`. The service's only string escaper, shared by [`Json::encode`]
-/// and the route-answer writer ([`crate::answer`]).
-pub(crate) fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        // Every escaped byte is ASCII, so `i` is a char boundary.
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 /// Why a parse failed, with a byte offset for diagnostics.
@@ -452,49 +425,6 @@ mod tests {
         assert_eq!(Json::Num(2.5).encode(), "2.5");
         assert_eq!(Json::from(7u64).as_u64(), Some(7));
         assert_eq!(Json::Num(2.5).as_u64(), None);
-    }
-
-    #[test]
-    fn escaper_matches_the_char_by_char_rule() {
-        // Per char: `"`, `\` and the C0 controls are escaped, everything
-        // else (DEL and all non-ASCII included) passes through.
-        fn reference(s: &str) -> String {
-            let mut out = String::from('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
-        let mut samples: Vec<String> = (0u8..0x80).map(|b| format!("a{}b", b as char)).collect();
-        samples.extend(
-            [
-                "",
-                "plain",
-                "say \"hi\"",
-                "C:\\tmp",
-                "\ttab\r\n",
-                "é😀\u{1}",
-                "\u{7f}\u{80}\u{1f}",
-                "\\\"\\",
-            ]
-            .map(String::from),
-        );
-        for s in &samples {
-            let mut out = String::new();
-            write_string(&mut out, s);
-            assert_eq!(out, reference(s), "{s:?}");
-        }
     }
 
     #[test]

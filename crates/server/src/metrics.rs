@@ -61,13 +61,6 @@ impl Phase {
     }
 }
 
-/// Per-phase wall-time accounting: total microseconds and a latency
-/// histogram over [`LATENCY_BUCKETS_US`] (whose total is the sample count).
-struct PhaseStats {
-    total_us: AtomicU64,
-    latency: Histogram,
-}
-
 /// Shared service counters.
 pub struct Metrics {
     /// When this instance was created (serving process start, in
@@ -94,7 +87,9 @@ pub struct Metrics {
     /// Connections force-closed by a deadline (every 408 plus write-side
     /// stalls that never got a response).
     pub admission_reaped: AtomicU64,
-    admission_queue_wait: Histogram,
+    /// Time connections waited in the admission queue (µs), fed by the
+    /// workers through [`routes_obs::record`].
+    pub admission_queue_wait: Histogram,
     pub sessions_created: AtomicU64,
     pub sessions_deleted: AtomicU64,
     pub sessions_evicted: AtomicU64,
@@ -120,7 +115,9 @@ pub struct Metrics {
     /// Per-hop routes inside answered stitched routes (hops summed).
     pub pipeline_stitched_hops: AtomicU64,
     latency: Histogram,
-    phases: [PhaseStats; Phase::ALL.len()],
+    /// Per-phase wall time: each histogram's sum is the phase's µs total
+    /// and its count the sample count.
+    phases: [Histogram; Phase::ALL.len()],
     /// Rolling one-second traffic windows (live rps / error rate / tail
     /// latency; `ROUTES_WINDOW_SECONDS` sizes the ring).
     window: WindowRing,
@@ -184,10 +181,7 @@ impl Metrics {
             pipeline_stitched_routes: AtomicU64::new(0),
             pipeline_stitched_hops: AtomicU64::new(0),
             latency: Histogram::new(&LATENCY_BUCKETS_US),
-            phases: Phase::ALL.map(|_| PhaseStats {
-                total_us: AtomicU64::new(0),
-                latency: Histogram::new(&LATENCY_BUCKETS_US),
-            }),
+            phases: Phase::ALL.map(|_| Histogram::new(&LATENCY_BUCKETS_US)),
             window: WindowRing::new(window_seconds_from_env()),
             exemplars: Default::default(),
         }
@@ -209,7 +203,7 @@ impl Metrics {
             _ => &self.responses_5xx,
         }
         .fetch_add(1, Relaxed);
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
+        let us = routes_obs::micros(latency);
         let bucket = self.latency.record(us);
         self.window.record(status, us);
         if let Some(trace) = trace {
@@ -246,19 +240,10 @@ impl Metrics {
             .collect()
     }
 
-    /// Record one sample of a work phase's wall time.
-    pub fn record_phase(&self, phase: Phase, latency: Duration) {
-        let stats = &self.phases[phase as usize];
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        stats.total_us.fetch_add(us, Relaxed);
-        stats.latency.record(us);
-    }
-
-    /// Record how long a connection waited in the admission queue before a
-    /// worker popped it.
-    pub fn record_queue_wait(&self, wait: Duration) {
-        self.admission_queue_wait
-            .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
+    /// The wall-time histogram of `phase`: the sink its timers feed
+    /// (`routes_obs::timer`, `routes_obs::record`).
+    pub fn phase(&self, phase: Phase) -> &Histogram {
+        &self.phases[phase as usize]
     }
 
     /// The snapshot `GET /metrics` serves as JSON: every series of
@@ -792,15 +777,11 @@ fn declare(
     ));
 
     for p in Phase::ALL {
-        let stats = &m.phases[p as usize];
-        let counts: Vec<u64> = stats.latency.counts().collect();
+        let counts: Vec<u64> = m.phase(p).counts().collect();
         let hist = Hist {
             bounds: &LATENCY_BUCKETS_US,
             counts: &counts,
-            sum: Some((
-                &[N("phases"), N(p.name()), N("total_us")],
-                load(&stats.total_us),
-            )),
+            sum: Some((&[N("phases"), N(p.name()), N("total_us")], m.phase(p).sum())),
             exemplars: None,
         };
         emit(
@@ -1326,9 +1307,10 @@ mod tests {
     #[test]
     fn phase_samples_accumulate_count_total_and_histogram() {
         let m = Metrics::new();
-        m.record_phase(Phase::Chase, Duration::from_micros(90));
-        m.record_phase(Phase::Chase, Duration::from_micros(400));
-        m.record_phase(Phase::Forest, Duration::from_millis(2));
+        let sample = |p: Phase, dur| routes_obs::record(p.name(), Some(m.phase(p)), dur);
+        sample(Phase::Chase, Duration::from_micros(90));
+        sample(Phase::Chase, Duration::from_micros(400));
+        sample(Phase::Forest, Duration::from_millis(2));
         let snapshot = json_of(&m, 0, 1);
         let phases = snapshot.get("phases").unwrap();
         let stat = |phase: &str, key: &str| phases.get(phase).unwrap().get(key).unwrap().as_u64();
@@ -1365,9 +1347,11 @@ mod tests {
         m.record_response(200, Duration::from_micros(70), Some("trace-a"));
         m.record_response(503, Duration::from_millis(3), Some("trace-b"));
         for (i, p) in Phase::ALL.into_iter().enumerate() {
-            m.record_phase(p, Duration::from_micros(50 + 700 * i as u64));
+            let dur = Duration::from_micros(50 + 700 * i as u64);
+            routes_obs::record(p.name(), Some(m.phase(p)), dur);
         }
-        m.record_queue_wait(Duration::from_micros(700));
+        let wait = Duration::from_micros(700);
+        routes_obs::record("queue_wait", Some(&m.admission_queue_wait), wait);
         let counters = [
             ("requests_total", &m.requests_total),
             ("responses_2xx", &m.responses_2xx),

@@ -118,16 +118,17 @@ impl Persistence {
             .restored_sessions
             .store(report.restored_sessions as u64, Relaxed);
         metrics.recovery_dropped.store(dropped as u64, Relaxed);
-        metrics.recovery_us.store(
-            started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-            Relaxed,
-        );
+        metrics
+            .recovery_us
+            .store(routes_obs::micros(started.elapsed()), Relaxed);
         Ok((
             Persistence {
                 dir,
                 wal: RwLock::new(wal),
                 metrics,
-                checkpoint_records: checkpoint_records_from_env(),
+                checkpoint_records: routes_obs::env_number(CHECKPOINT_RECORDS_ENV)
+                    .filter(|&n| n > 0)
+                    .unwrap_or(DEFAULT_CHECKPOINT_RECORDS),
             },
             report,
         ))
@@ -175,14 +176,6 @@ impl Persistence {
     fn read_wal(&self) -> std::sync::RwLockReadGuard<'_, Wal> {
         self.wal.read().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-fn checkpoint_records_from_env() -> u64 {
-    std::env::var(CHECKPOINT_RECORDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CHECKPOINT_RECORDS)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use routes_chase::{ChaseStats, TgdStats};
 use routes_core::{compute_one_route, RouteForest};
@@ -149,30 +149,27 @@ impl App {
     }
 
     /// [`App::handle`] inside a full trace context: installs the request's
-    /// trace ID, records the `request` span, counts the response, emits the
+    /// trace ID, times the `request` span, counts the response, emits the
     /// slow-request warning, and stamps `X-Trace-Id` on the way out. This
     /// is what the accept loop calls; `handle` stays separate for tests
     /// that exercise routing alone.
     pub fn handle_traced(&self, req: &Request) -> Response {
         let ctx = self.tracer.begin(req.header("x-trace-id"));
-        let _scope = routes_obs::scoped(Some(ctx.clone()));
-        // Root frame for the sampling profiler: every in-request span
-        // (chase, route, print, …) collapses under `request;…`.
-        let _frame = routes_obs::profile_frame("request");
-        let started = Instant::now();
+        let id = ctx.id();
+        let _scope = routes_obs::scoped(Some(ctx));
+        // The root timer: every in-request span (chase, route, print, …)
+        // nests under `request` in traces and profiles.
+        let root = routes_obs::timer("request", None);
         let mut response = catch_unwind(AssertUnwindSafe(|| self.handle(req)))
             .unwrap_or_else(|_| Response::error(500, "handler panicked"));
-        let elapsed = started.elapsed();
-        ctx.record("request", started, elapsed);
+        let elapsed = root.end();
         self.metrics
-            .record_response(response.status, elapsed, Some(ctx.id().as_str()));
-        let elapsed_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+            .record_response(response.status, elapsed, Some(id.as_str()));
+        let elapsed_us = routes_obs::micros(elapsed);
         if elapsed >= self.slow {
-            // Per-phase breakdown from the spans this request already
-            // recorded: one ring pass, no extra clocks on the fast path.
-            let phases = self
-                .tracer
-                .phase_totals_us(ctx.id(), &["chase", "forest", "route", "print", "edit"]);
+            // Per-phase breakdown: this request's totals of the same
+            // samples the phase histograms received.
+            let phases = Phase::ALL.map(|p| routes_obs::current_total_us(p.name()));
             routes_obs::log(
                 routes_obs::Level::Warn,
                 "slow_request",
@@ -212,7 +209,7 @@ impl App {
                 ],
             );
         }
-        response.set_header("x-trace-id", ctx.id().as_str().to_owned());
+        response.set_header("x-trace-id", id.as_str().to_owned());
         response
     }
 
@@ -511,15 +508,15 @@ impl App {
             Err(e) => return Response::error(422, &format!("scenario does not load: {e}")),
         };
         let (scenario, pipeline) = {
-            let _span = routes_obs::span("chase");
+            // A scenario that supplies its solution is a `chase` span but
+            // no chase sample.
+            let sink = loaded.chases().then(|| self.metrics.phase(Phase::Chase));
+            let _chase = routes_obs::timer("chase", sink);
             match loaded.prepare(chase_mode, &self.pool) {
                 Ok(p) => p,
                 Err(e) => return Response::error(422, &format!("chase failed: {e}")),
             }
         };
-        if let Some(wall) = scenario.chase_wall {
-            self.metrics.record_phase(Phase::Chase, wall);
-        }
         let summary = [
             ("source_tuples", Json::from(scenario.source.total_tuples())),
             ("target_tuples", Json::from(scenario.target.total_tuples())),
@@ -611,17 +608,14 @@ impl App {
             Ok(sel) => sel,
             Err(resp) => return resp,
         };
-        let route_start = Instant::now();
-        let route_span = routes_obs::span("route");
+        let route = routes_obs::timer("route", Some(self.metrics.phase(Phase::Route)));
         let stitched = match stitch_route(pipeline, &selected) {
             Ok(s) => s,
             Err(StitchError::EmptySelection) => {
                 return Response::error(422, "select at least one tuple")
             }
             Err(StitchError::NoRoute { stage, source }) => {
-                drop(route_span);
-                self.metrics
-                    .record_phase(Phase::Route, route_start.elapsed());
+                drop(route);
                 // Like one-route's no_route: an unroutable tuple is a
                 // debugging answer, not a client error.
                 return Response::json(
@@ -638,19 +632,13 @@ impl App {
         if let Err(e) = stitched.validate(pipeline) {
             return Response::error(500, &format!("stitched route failed replay: {e}"));
         }
-        drop(route_span);
-        self.metrics
-            .record_phase(Phase::Route, route_start.elapsed());
+        drop(route);
         self.metrics.pipeline_stitched_routes.fetch_add(1, Relaxed);
         self.metrics
             .pipeline_stitched_hops
             .fetch_add(stitched.stages.len() as u64, Relaxed);
-        let print_start = Instant::now();
-        let _print_span = routes_obs::span("print");
-        let response = Response::json(200, answer::stitched(pipeline, &stitched));
-        self.metrics
-            .record_phase(Phase::Print, print_start.elapsed());
-        response
+        let _print = routes_obs::timer("print", Some(self.metrics.phase(Phase::Print)));
+        Response::json(200, answer::stitched(pipeline, &stitched))
     }
 
     fn delete_session(&self, id: &str) -> Response {
@@ -724,24 +712,27 @@ impl App {
             return Response::error(409, "pipeline sessions do not support edits");
         }
         let options = chase_options(origin.chase);
-        let edit_start = Instant::now();
-        let apply = {
-            let _span = routes_obs::span("edit");
-            match routes_incr::apply_batch(
-                &origin.text,
-                &session.scenario,
-                session.incr_state(),
-                &ops,
-                options,
-                &self.pool,
-            ) {
-                Ok(apply) => apply,
-                Err(e) => {
-                    self.metrics.edits_rejected.fetch_add(1, Relaxed);
-                    return Response::error(422, &format!("edit rejected: {e}"));
-                }
+        // The `edit` interval is the incremental pipeline: the batch and
+        // the forest carry-over, not the store swap or the WAL append.
+        let edit = routes_obs::timer("edit", Some(self.metrics.phase(Phase::Edit)));
+        let apply = match routes_incr::apply_batch(
+            &origin.text,
+            &session.scenario,
+            session.incr_state(),
+            &ops,
+            options,
+            &self.pool,
+        ) {
+            Ok(apply) => apply,
+            Err(e) => {
+                self.metrics.edits_rejected.fetch_add(1, Relaxed);
+                return Response::error(422, &format!("edit rejected: {e}"));
             }
         };
+        if let Some(wall) = apply.scenario.chase_wall {
+            // The replay chase ran inside the batch: a `chase` sample too.
+            routes_obs::record("chase", Some(self.metrics.phase(Phase::Chase)), wall);
+        }
         // Surgical forest carry-over: survivors are byte-identical to a
         // fresh recompute (see routes-incr), so they stay memoized — and
         // their answers stay `cached: true` — in the new incarnation.
@@ -753,6 +744,7 @@ impl App {
         )
         .into_iter()
         .collect();
+        drop(edit);
         let forests_invalidated = entries.len() - keep.len();
         let survivors: HashMap<Vec<TupleId>, Arc<RouteForest>> = entries
             .into_iter()
@@ -764,7 +756,6 @@ impl App {
             chase: origin.chase,
             text: Arc::from(apply.text.as_str()),
         };
-        let chase_wall = apply.scenario.chase_wall;
         let stats = apply.scenario.chase_stats.clone();
         let source_tuples = apply.scenario.source.total_tuples();
         let target_tuples = apply.scenario.target.total_tuples();
@@ -786,10 +777,6 @@ impl App {
         }) {
             self.store.replace(id, session);
             return Response::error(500, &format!("edit not persisted: {e}"));
-        }
-        self.metrics.record_phase(Phase::Edit, edit_start.elapsed());
-        if let Some(wall) = chase_wall {
-            self.metrics.record_phase(Phase::Chase, wall);
         }
         self.metrics.edits_applied.fetch_add(1, Relaxed);
         self.metrics
@@ -859,8 +846,7 @@ impl App {
         };
         self.metrics.one_routes_computed.fetch_add(1, Relaxed);
         let env = session.env();
-        let route_start = Instant::now();
-        let route_span = routes_obs::span("route");
+        let route_timer = routes_obs::timer("route", Some(self.metrics.phase(Phase::Route)));
         let computed = compute_one_route(env, &selected);
         match computed {
             Ok(route) => {
@@ -872,24 +858,15 @@ impl App {
                         return Response::error(500, &format!("computed route failed replay: {e}"))
                     }
                 };
-                drop(route_span);
-                self.metrics
-                    .record_phase(Phase::Route, route_start.elapsed());
-                let print_start = Instant::now();
-                let print_span = routes_obs::span("print");
-                let response = Response::json(
+                drop(route_timer);
+                let _print = routes_obs::timer("print", Some(self.metrics.phase(Phase::Print)));
+                Response::json(
                     200,
                     answer::one_route(&session.scenario.pool, &env, &route, produced.len()),
-                );
-                drop(print_span);
-                self.metrics
-                    .record_phase(Phase::Print, print_start.elapsed());
-                response
+                )
             }
             Err(e) => {
-                drop(route_span);
-                self.metrics
-                    .record_phase(Phase::Route, route_start.elapsed());
+                drop(route_timer);
                 // "No route" is a debugging *answer* (the paper's unroutable
                 // tuples), not a client error.
                 Response::json(
@@ -906,18 +883,13 @@ impl App {
             Err(resp) => return resp,
         };
         self.metrics.all_routes_computed.fetch_add(1, Relaxed);
-        let forest_start = Instant::now();
         let (forest, cached, wall) = session.forest_for(&selected, &self.pool);
         if cached {
             self.metrics.forest_cache_hits.fetch_add(1, Relaxed);
         } else {
-            // Record the forest span only when a forest was actually built
-            // — a memo hit is a lookup, not a build.
-            if let Some(ctx) = routes_obs::current() {
-                ctx.record("forest", forest_start, forest_start.elapsed());
-            }
+            // Only a build is a `forest` sample — a memo hit is a lookup.
+            routes_obs::record("forest", Some(self.metrics.phase(Phase::Forest)), wall);
             self.metrics.forest_cache_misses.fetch_add(1, Relaxed);
-            self.metrics.record_phase(Phase::Forest, wall);
             // Persist the memo key (normalized like the cache's own key)
             // so recovery re-warms the forest cache.
             let mut key: Vec<(u32, u32)> = selected.iter().map(|t| (t.rel.0, t.row)).collect();
@@ -929,15 +901,11 @@ impl App {
             });
         }
         let env = session.env();
-        let print_start = Instant::now();
-        let _print_span = routes_obs::span("print");
-        let response = Response::json(
+        let _print = routes_obs::timer("print", Some(self.metrics.phase(Phase::Print)));
+        Response::json(
             200,
             answer::forest(&session.scenario.pool, &env, &forest, cached),
-        );
-        self.metrics
-            .record_phase(Phase::Print, print_start.elapsed());
-        response
+        )
     }
 }
 

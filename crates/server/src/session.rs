@@ -141,6 +141,12 @@ impl LoadedText {
         }
     }
 
+    /// Whether [`LoadedText::prepare`] chases: every pipeline does, and a
+    /// flat scenario unless it supplies its own target data.
+    pub(crate) fn chases(&self) -> bool {
+        !matches!(self, LoadedText::Flat(loaded) if loaded.target.is_some())
+    }
+
     /// Chase the scenario (every hop of a pipeline) under `mode`.
     pub(crate) fn prepare(
         self,
@@ -504,19 +510,17 @@ impl Shard {
     // state a poisoned guard exposes is at worst mid-request, never
     // structurally broken.
     fn read_locked(&self) -> RwLockReadGuard<'_, ShardInner> {
-        // The span covers acquisition only, so its duration is the lock
-        // wait a request actually observed, not the hold time. It reuses
-        // the stats measurement (`record_current`), keeping the traced
-        // hot path free of extra clock reads.
+        // The interval covers acquisition only, so it is the lock wait a
+        // request actually observed, not the hold time. One measurement
+        // feeds the wait histogram and the `session_lock_read` span; it is
+        // recorded rather than timed so that no profiler frame is pushed
+        // for a wait of microseconds.
         let start = Instant::now();
         let guard = self
             .inner
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let wait = start.elapsed();
-        self.read_wait
-            .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
-        routes_obs::record_current("session_lock_read", start, wait);
+        routes_obs::record("session_lock_read", Some(&self.read_wait), start.elapsed());
         guard
     }
 
@@ -526,11 +530,12 @@ impl Shard {
             .inner
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let wait = start.elapsed();
-        self.write_wait
-            .record(wait.as_micros().min(u128::from(u64::MAX)) as u64);
+        routes_obs::record(
+            "session_lock_write",
+            Some(&self.write_wait),
+            start.elapsed(),
+        );
         self.stats.write_locks.fetch_add(1, Relaxed);
-        routes_obs::record_current("session_lock_write", start, wait);
         guard
     }
 
@@ -756,7 +761,10 @@ impl SessionStore {
     /// the shard count taken from [`SHARDS_ENV`] or the machine's
     /// available parallelism.
     pub fn new(max_sessions: usize) -> Self {
-        SessionStore::with_shards(max_sessions, Self::shards_from_env())
+        let shards = routes_obs::env_number(SHARDS_ENV)
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+        SessionStore::with_shards(max_sessions, shards)
     }
 
     /// [`SessionStore::new`] with an explicit shard count (tests and
@@ -774,14 +782,6 @@ impl SessionStore {
             next_id: AtomicU64::new(1),
             max_sessions,
         }
-    }
-
-    fn shards_from_env() -> usize {
-        std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 
     /// The number of shards.

@@ -48,13 +48,9 @@ pub const MAX_WINDOW_SECONDS: usize = 3600;
 /// Resolve the window length from the environment (clamped to
 /// `1..=MAX_WINDOW_SECONDS`; unset or unparsable means the default).
 pub fn window_seconds_from_env() -> usize {
-    match std::env::var(WINDOW_SECONDS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.clamp(1, MAX_WINDOW_SECONDS),
-            Err(_) => DEFAULT_WINDOW_SECONDS,
-        },
-        Err(_) => DEFAULT_WINDOW_SECONDS,
-    }
+    routes_obs::env_number(WINDOW_SECONDS_ENV).map_or(DEFAULT_WINDOW_SECONDS, |n: usize| {
+        n.clamp(1, MAX_WINDOW_SECONDS)
+    })
 }
 
 /// One second of traffic.

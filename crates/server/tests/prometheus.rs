@@ -101,12 +101,16 @@ fn fixed_metrics() -> Metrics {
     m.record_response(201, Duration::from_micros(600), None);
     m.record_response(404, Duration::from_millis(2), None);
     m.record_response(500, Duration::from_secs(2), None);
-    m.record_phase(Phase::Chase, Duration::from_micros(90));
-    m.record_phase(Phase::Chase, Duration::from_micros(450));
-    m.record_phase(Phase::Forest, Duration::from_millis(3));
-    m.record_phase(Phase::Route, Duration::from_micros(40));
-    m.record_phase(Phase::Print, Duration::from_micros(20));
-    m.record_phase(Phase::Edit, Duration::from_micros(700));
+    for (phase, dur) in [
+        (Phase::Chase, Duration::from_micros(90)),
+        (Phase::Chase, Duration::from_micros(450)),
+        (Phase::Forest, Duration::from_millis(3)),
+        (Phase::Route, Duration::from_micros(40)),
+        (Phase::Print, Duration::from_micros(20)),
+        (Phase::Edit, Duration::from_micros(700)),
+    ] {
+        routes_obs::record(phase.name(), Some(m.phase(phase)), dur);
+    }
     use std::sync::atomic::Ordering::Relaxed;
     m.bad_requests.store(2, Relaxed);
     m.connections_accepted.store(6, Relaxed);
@@ -116,8 +120,9 @@ fn fixed_metrics() -> Metrics {
     m.admission_shed.store(2, Relaxed);
     m.admission_timeouts.store(1, Relaxed);
     m.admission_reaped.store(1, Relaxed);
-    m.record_queue_wait(Duration::from_micros(40));
-    m.record_queue_wait(Duration::from_millis(8));
+    for wait in [Duration::from_micros(40), Duration::from_millis(8)] {
+        routes_obs::record("queue_wait", Some(&m.admission_queue_wait), wait);
+    }
     m.sessions_created.store(5, Relaxed);
     m.sessions_deleted.store(1, Relaxed);
     m.sessions_evicted.store(2, Relaxed);
@@ -682,8 +687,8 @@ fn profile_samples_render_as_phases_and_a_weighted_tree() {
     // tick the sampler five times (no ticker thread involved).
     let _on = routes_obs::manual_profile();
     {
-        let _request = routes_obs::profile_frame("profreq");
-        let _chase = routes_obs::profile_frame("profchase");
+        let _request = routes_obs::span("profreq");
+        let _chase = routes_obs::span("profchase");
         for _ in 0..5 {
             routes_obs::sample_once();
         }

@@ -939,3 +939,60 @@ fn pipeline_sessions_survive_a_restart() {
     assert_eq!(status, 409, "recovery restores the edit rejection too");
     shutdown(addr, handle);
 }
+
+/// A `spiderd` child process, killed if the test fails before shutting it
+/// down.
+struct Spiderd(std::process::Child);
+
+impl Drop for Spiderd {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Every `ROUTES_*` number is trimmed before it parses, whichever knob
+/// reads it. The settings go to a child `spiderd`, so this process's
+/// environment is never touched.
+#[test]
+fn padded_env_numbers_configure_the_server() {
+    use std::process::{Command, Stdio};
+    let mut child = Spiderd(
+        Command::new(env!("CARGO_BIN_EXE_spiderd"))
+            .args(["--addr", "127.0.0.1:0", "--threads", "1"])
+            .env("ROUTES_MAX_QUEUE", " 8")
+            .env("ROUTES_WINDOW_SECONDS", "7\n")
+            .env("ROUTES_LOG", "error")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn spiderd"),
+    );
+    let mut banner = String::new();
+    BufReader::new(child.0.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("listening line");
+    let addr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let mut c = Client::connect(addr);
+    let (status, metrics) = c.request("GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let read = |block: &str, key: &str| metrics.get(block).and_then(|b| b.get(key)?.as_u64());
+    assert_eq!(
+        read("admission", "queue_capacity"),
+        Some(8),
+        "ROUTES_MAX_QUEUE=\" 8\""
+    );
+    assert_eq!(
+        read("window", "seconds"),
+        Some(7),
+        "ROUTES_WINDOW_SECONDS=\"7\\n\""
+    );
+    let (status, _) = c.request("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    assert!(child.0.wait().expect("spiderd exits").success());
+}

@@ -73,8 +73,7 @@ impl PersistMetrics {
     pub fn record_fsync(&self, wall: Duration, records: u64) {
         self.fsync_batches.fetch_add(1, Relaxed);
         self.fsync_records.fetch_add(records, Relaxed);
-        self.fsync_latency
-            .record(wall.as_micros().min(u128::from(u64::MAX)) as u64);
+        self.fsync_latency.record(routes_obs::micros(wall));
     }
 
     /// A point-in-time copy for rendering.

@@ -38,7 +38,6 @@ use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 use crate::codec::{encode_record_payload, frame, Record};
 use crate::metrics::PersistMetrics;
@@ -183,13 +182,13 @@ impl Wal {
             let covered = batch_end - shared.synced;
             drop(shared);
 
-            let fsync_span = routes_obs::span("wal_fsync");
-            let started = Instant::now();
+            // One timer: its reading is the `wal_fsync` span and, once
+            // the commit succeeds, the fsync-latency sample.
+            let fsync = routes_obs::timer("wal_fsync", None);
             let result = (&self.file)
                 .write_all(&batch)
                 .and_then(|()| self.file.sync_data());
-            let wall = started.elapsed();
-            drop(fsync_span);
+            let wall = fsync.end();
 
             shared = self.lock();
             shared.flushing = false;

@@ -1,7 +1,8 @@
 //! End-to-end observability tests over real sockets: trace-ID
 //! propagation (supplied and minted), the `/trace` span dump with its
 //! child-durations-sum-≤-request invariant, the slow-request warning
-//! log, and oldest-first ring eviction.
+//! log and its per-phase breakdown with tracing off, and oldest-first
+//! ring eviction.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -264,33 +265,52 @@ impl Write for Capture {
     }
 }
 
-#[test]
-fn slow_request_warning_fires_above_the_threshold() {
+/// Run `serve` with the process-wide log sink captured, one test at a
+/// time, and return the `slow_request` warning logged for each trace id
+/// in `traces`.
+fn slow_request_lines(serve: impl FnOnce(), traces: &[&str]) -> Vec<Json> {
+    static SINK: Mutex<()> = Mutex::new(());
+    let _serial = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let buffer = Arc::new(Mutex::new(Vec::new()));
     routes_obs::set_sink(Some(Box::new(Capture(Arc::clone(&buffer)))));
-
-    // Threshold zero: every request is "slow". The warning must carry the
-    // request's trace id so the log line joins against `/trace`.
-    let (addr, handle) = start(ServerConfig {
-        threads: 1,
-        slow_request: Some(Duration::ZERO),
-        ..ServerConfig::default()
-    });
-    let trace_id = "slow-req-probe";
-    let (status, _, _) = raw_request(addr, "GET", "/healthz", &[("X-Trace-Id", trace_id)], None);
-    assert_eq!(status, 200);
-    shutdown(addr, handle);
+    serve();
     routes_obs::set_sink(None);
 
     let captured = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
-    let warning = captured
+    let records: Vec<Json> = captured
         .lines()
         .map(|line| parse(line).unwrap_or_else(|e| panic!("unparseable log {line:?}: {e:?}")))
-        .find(|record| {
-            record.get("event").and_then(|v| v.as_str()) == Some("slow_request")
-                && record.get("trace_id").and_then(|v| v.as_str()) == Some(trace_id)
-        })
-        .unwrap_or_else(|| panic!("no slow_request warning for {trace_id:?} in:\n{captured}"));
+        .collect();
+    let warning = |trace_id: &str| {
+        records
+            .iter()
+            .find(|record| {
+                record.get("event").and_then(|v| v.as_str()) == Some("slow_request")
+                    && record.get("trace_id").and_then(|v| v.as_str()) == Some(trace_id)
+            })
+            .unwrap_or_else(|| panic!("no slow_request warning for {trace_id:?} in:\n{captured}"))
+            .clone()
+    };
+    traces.iter().map(|trace_id| warning(trace_id)).collect()
+}
+
+#[test]
+fn slow_request_warning_fires_above_the_threshold() {
+    // Threshold zero: every request is "slow". The warning must carry the
+    // request's trace id so the log line joins against `/trace`.
+    let trace_id = "slow-req-probe";
+    let serve = || {
+        let (addr, handle) = start(ServerConfig {
+            threads: 1,
+            slow_request: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        });
+        let headers = [("X-Trace-Id", trace_id)];
+        let (status, _, _) = raw_request(addr, "GET", "/healthz", &headers, None);
+        assert_eq!(status, 200);
+        shutdown(addr, handle);
+    };
+    let warning = &slow_request_lines(serve, &[trace_id])[0];
     assert_eq!(warning.get("level").and_then(|v| v.as_str()), Some("warn"));
     assert_eq!(
         warning.get("path").and_then(|v| v.as_str()),
@@ -298,6 +318,48 @@ fn slow_request_warning_fires_above_the_threshold() {
     );
     assert_eq!(warning.get("status").and_then(|v| v.as_u64()), Some(200));
     assert!(warning.get("elapsed_us").and_then(|v| v.as_u64()).is_some());
+}
+
+/// The breakdown is the request's own phase samples, so it needs no span
+/// ring: with tracing off, a create reports its chase, and an edit its
+/// batch and the replay chase inside it.
+#[test]
+fn slow_request_breakdown_reports_phases_with_tracing_off() {
+    let serve = || {
+        let (addr, handle) = start(ServerConfig {
+            threads: 1,
+            tracing: false,
+            slow_request: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        });
+        let headers = [("X-Trace-Id", "breakdown-create")];
+        let (status, _, body) =
+            raw_request(addr, "POST", "/sessions", &headers, Some(&scenario_body(3)));
+        assert_eq!(status, 201, "{body}");
+        let id = parse(&body)
+            .unwrap()
+            .get("session")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        let edit = r#"{"ops": [{"op": "insert_tuple", "line": "S(8, 9)"}]}"#;
+        let headers = [("X-Trace-Id", "breakdown-edit")];
+        let path = format!("/sessions/{id}/edit");
+        let (status, _, body) = raw_request(addr, "POST", &path, &headers, Some(edit));
+        assert_eq!(status, 200, "{body}");
+        shutdown(addr, handle);
+    };
+    let lines = slow_request_lines(serve, &["breakdown-create", "breakdown-edit"]);
+    let us = |line: &Json, key: &str| line.get(key).and_then(|v| v.as_u64()).unwrap();
+    let (create, edit) = (&lines[0], &lines[1]);
+    assert!(us(create, "chase_us") > 0, "create: {create:?}");
+    assert_eq!(us(create, "edit_us"), 0, "create: {create:?}");
+    assert!(us(edit, "edit_us") > 0, "edit: {edit:?}");
+    assert!(us(edit, "chase_us") > 0, "edit: {edit:?}");
+    assert!(
+        us(edit, "chase_us") <= us(edit, "edit_us"),
+        "the replay chase runs inside the edit batch: {edit:?}"
+    );
 }
 
 #[test]
