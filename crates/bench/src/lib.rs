@@ -70,12 +70,18 @@ pub fn secs(d: Duration) -> String {
 /// column indexes and the allocator), then time `samples` runs and report
 /// the median. The median is robust against one-off scheduler noise, which
 /// is the property criterion's point estimate gave us.
-pub fn bench_median<R>(warmup: usize, samples: usize, mut f: impl FnMut() -> R) -> Duration {
+pub fn bench_median<R>(warmup: usize, samples: usize, f: impl FnMut() -> R) -> Duration {
+    bench_timed(warmup, samples, f)[1]
+}
+
+/// [`bench_spread`] for an `f` that does not time itself: each run of `f`
+/// is timed whole, as `[min, median, max]`.
+pub fn bench_timed<R>(warmup: usize, samples: usize, mut f: impl FnMut() -> R) -> [Duration; 3] {
     bench_spread(warmup, samples, || {
         let start = Instant::now();
         let _ = f();
         start.elapsed()
-    })[1]
+    })
 }
 
 /// The runs behind [`bench_median`], for an `f` that times itself:

@@ -3,8 +3,10 @@
 //!
 //! Run via the `repro` binary: `repro micro pipeline [--quick]` prints the
 //! table and writes `bench_results/micro_pipeline.csv` with columns
-//! `hops, rows, core, chase_seconds, tuples_before, tuples_after, shrink,
-//! probes, stitch_seconds, per_route_ms`.
+//! `hops, rows, core, trials, chase_seconds, chase_min, chase_max,
+//! tuples_before, tuples_after, shrink, probes, stitch_seconds, stitch_min,
+//! stitch_max, per_route_ms` (each `_seconds` a median over `trials` timed
+//! runs, `per_route_ms` from the stitch median).
 //!
 //! The sweep chases the same redundancy-heavy generated chain
 //! ([`routes_gen::pipeline_scenario`]) at increasing hop counts, with core
@@ -21,7 +23,7 @@ use routes_model::TupleId;
 use routes_pipeline::{chase_pipeline, stitch_route, PreparedPipeline};
 use routes_pool::Pool;
 
-use crate::{bench_median, secs, Table};
+use crate::{bench_timed, secs, Table};
 
 /// Hop counts swept.
 pub const PIPELINE_HOPS: [usize; 4] = [1, 2, 4, 8];
@@ -50,7 +52,7 @@ pub fn pipeline_benches(quick: bool) -> Table {
     };
     let rows = if quick { 32 } else { 384 };
     let n_probes = if quick { 8 } else { 32 };
-    let (warmup, samples) = if quick { (0, 1) } else { (1, 3) };
+    let (warmup, samples) = if quick { (0, 1) } else { (1, 5) };
     let workers = Pool::sequential();
     let mut out = Table::new(
         "micro_pipeline",
@@ -58,18 +60,24 @@ pub fn pipeline_benches(quick: bool) -> Table {
             "hops",
             "rows",
             "core",
+            "trials",
             "chase_seconds",
+            "chase_min",
+            "chase_max",
             "tuples_before",
             "tuples_after",
             "shrink",
             "probes",
             "stitch_seconds",
+            "stitch_min",
+            "stitch_max",
             "per_route_ms",
         ],
     );
     for &hops in hop_counts {
         for core in [false, true] {
-            let chase_time = bench_median(warmup, samples, || chase(hops, rows, core, &workers));
+            let [chase_min, chase_median, chase_max] =
+                bench_timed(warmup, samples, || chase(hops, rows, core, &workers));
             let prepared = chase(hops, rows, core, &workers);
             let (before, after) = prepared.core_shrink();
             let probes: Vec<TupleId> = prepared
@@ -78,23 +86,28 @@ pub fn pipeline_benches(quick: bool) -> Table {
                 .all_rows()
                 .take(n_probes)
                 .collect();
-            let stitch_time = bench_median(warmup, samples, || {
+            let [stitch_min, stitch_median, stitch_max] = bench_timed(warmup, samples, || {
                 for &t in &probes {
                     let stitched = stitch_route(&prepared, &[t]).expect("probe has a route");
                     std::hint::black_box(stitched);
                 }
             });
-            let per_route_ms = stitch_time.as_secs_f64() * 1_000.0 / probes.len() as f64;
+            let per_route_ms = stitch_median.as_secs_f64() * 1_000.0 / probes.len() as f64;
             out.push(vec![
                 hops.to_string(),
                 rows.to_string(),
                 core.to_string(),
-                secs(chase_time),
+                samples.to_string(),
+                secs(chase_median),
+                secs(chase_min),
+                secs(chase_max),
                 before.to_string(),
                 after.to_string(),
                 format!("{:.4}", after as f64 / before as f64),
                 probes.len().to_string(),
-                secs(stitch_time),
+                secs(stitch_median),
+                secs(stitch_min),
+                secs(stitch_max),
                 format!("{per_route_ms:.4}"),
             ]);
         }
@@ -111,8 +124,10 @@ mod tests {
         let table = pipeline_benches(true);
         assert_eq!(table.rows.len(), PIPELINE_HOPS_QUICK.len() * 2);
         for row in &table.rows {
-            assert_eq!(row.len(), 10);
-            let shrink: f64 = row[6].parse().unwrap();
+            assert_eq!(row.len(), 15);
+            let [min, median, max] = [5, 4, 6].map(|col| row[col].parse::<f64>().unwrap());
+            assert!(min <= median && median <= max);
+            let shrink: f64 = row[9].parse().unwrap();
             assert!(shrink > 0.0 && shrink <= 1.0);
             if row[2] == "true" {
                 assert!(shrink < 1.0, "core rows must actually shrink");

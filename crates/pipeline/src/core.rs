@@ -4,11 +4,25 @@
 //! The core of a finite instance `J` is its smallest retract: the smallest
 //! subinstance `C ⊆ J` with a homomorphism `J → C`. For universal solutions
 //! the core is again a universal solution — the minimal one. Greedy
-//! single-tuple removal computes it exactly: remove any tuple `t` for which
-//! a homomorphism `J → J∖{t}` exists, and repeat to a fixpoint. (If the
-//! fixpoint `J'` were not a core, it would have a proper endomorphism whose
-//! image misses some tuple `t`, and that endomorphism is a homomorphism
-//! `J' → J'∖{t}` — contradicting the fixpoint.)
+//! single-tuple removal computes it in one pass: visit the tuples in row
+//! order and remove `t` when a homomorphism `J → J∖{t}` exists, `J` being
+//! the instance left by the earlier removals. One pass suffices. Suppose
+//! `t` stayed when visited, in `J_t`. The later removals compose into a
+//! homomorphism `g : J_t → J_final`. A homomorphism
+//! `h : J_final → J_final∖{t}` would make `h ∘ g` one from `J_t` to
+//! `J_t∖{t}`, so no later removal makes `t` removable. And if the pass's
+//! result were not a core, a proper endomorphism would miss some kept `t`,
+//! which is such an `h`.
+//!
+//! The search is local to a *block* (Fagin–Kolaitis–Popa, *Data Exchange:
+//! Getting to the Core*): the rows linked to `t` through shared movable
+//! nulls. A map `J → J∖{t}` can be the identity outside `t`'s block, since
+//! no other row shares a null it moves, and its restriction to the block
+//! is one whenever a global map exists. So a retraction exists exactly
+//! when the block-local search finds one, and each candidate's search
+//! maps only its block's live rows. Blocks are computed once per
+//! instance, by a union-find over rows; removals can only split a block,
+//! and searching a block's live rows stays exact when they have split.
 //!
 //! Two properties downstream code depends on:
 //!
@@ -18,9 +32,9 @@
 //!   would invalidate the s-t steps of routes through the stage. The search
 //!   therefore treats every null occurring in the stage source
 //!   ([`frozen_nulls`]) as rigid; only nulls invented by this stage's chase
-//!   may move. Only tuples containing at least one movable null are removal
-//!   candidates (an all-rigid tuple maps to itself under any homomorphism,
-//!   so it can never be dropped).
+//!   may move, and only they link rows into blocks. Only tuples containing
+//!   at least one movable null are removal candidates (an all-rigid tuple
+//!   maps to itself under any homomorphism, so it can never be dropped).
 //! * **Values survive verbatim.** Minimization only deletes rows; kept rows
 //!   are rebuilt in their original order with unchanged values. Every route
 //!   valid on the core is therefore step-for-step valid on the unminimized
@@ -28,7 +42,8 @@
 //!
 //! The search is [`routes_chase::hom::search`] with the frozen nulls as its
 //! rigid set and the removed rows as its excluded set (so no per-candidate
-//! instance copies are made).
+//! instance copies are made). It and the union-find both loop rather than
+//! recurse, so no thread stack grows with the instance.
 
 use std::collections::{HashMap, HashSet};
 
@@ -67,32 +82,38 @@ pub fn frozen_nulls(source: &Instance) -> HashSet<NullId> {
 
 /// Greedily minimize `target` to its core (relative to `frozen` nulls,
 /// which are treated as constants). Deterministic: candidates are visited
-/// in row order and the backtracking search is itself deterministic.
+/// once, in row order, and the backtracking search is itself
+/// deterministic.
 pub fn core_minimize(schema: &Schema, target: &Instance, frozen: &HashSet<NullId>) -> CoreOutcome {
     let all: Vec<TupleId> = target.all_rows().collect();
+    let (block_of, blocks) = blocks(target, &all, frozen);
     let mut removed: HashSet<TupleId> = HashSet::new();
-    loop {
-        let mut changed = false;
-        for &cand in &all {
-            if removed.contains(&cand) {
-                continue;
-            }
-            let movable = target
-                .tuple(cand)
-                .into_iter()
-                .any(|v| matches!(v, Value::Null(n) if !frozen.contains(&n)));
-            if !movable {
-                continue;
-            }
-            removed.insert(cand);
-            if retracts_without(target, &all, cand, &removed, frozen) {
-                changed = true;
-            } else {
-                removed.remove(&cand);
-            }
-        }
-        if !changed {
-            break;
+    let mut tuples = Vec::new();
+    for (&cand, block) in all.iter().zip(&block_of) {
+        let Some(block) = block else {
+            continue;
+        };
+        // Whether a homomorphism maps the live instance into itself minus
+        // `cand`: the candidate first, so the search fails fast when it has
+        // no other image, then the rest of its block.
+        removed.insert(cand);
+        tuples.clear();
+        tuples.push(cand);
+        tuples.extend(
+            blocks[*block]
+                .iter()
+                .map(|&pos| all[pos])
+                .filter(|t| !removed.contains(t)),
+        );
+        if !search(
+            target,
+            target,
+            &tuples,
+            frozen,
+            &removed,
+            &mut HashMap::new(),
+        ) {
+            removed.remove(&cand);
         }
     }
 
@@ -119,23 +140,57 @@ pub fn core_minimize(schema: &Schema, target: &Instance, frozen: &HashSet<NullId
     }
 }
 
-/// Whether a homomorphism `J' → J'∖{cand}` exists, where `J'` is the live
-/// instance before this removal (`all ∖ dead` plus `cand` itself — the
-/// caller has already moved `cand` into `dead`). Frozen nulls are treated
-/// as constants; `dead` rows are excluded as images. The candidate is
-/// searched first so the search fails fast when it has no alternative
-/// image.
-fn retracts_without(
+/// The blocks of `rows`: rows linked through shared movable (non-`frozen`)
+/// nulls. Returns each row's block index (`None` for a row without movable
+/// nulls, which is in no block) and each block's row positions, ascending.
+fn blocks(
     target: &Instance,
-    all: &[TupleId],
-    cand: TupleId,
-    dead: &HashSet<TupleId>,
+    rows: &[TupleId],
     frozen: &HashSet<NullId>,
-) -> bool {
-    let mut tuples = Vec::with_capacity(all.len() - dead.len() + 1);
-    tuples.push(cand);
-    tuples.extend(all.iter().copied().filter(|t| !dead.contains(t)));
-    search(target, target, &tuples, frozen, dead, &mut HashMap::new())
+) -> (Vec<Option<usize>>, Vec<Vec<usize>>) {
+    // Union-find over row positions; a root is its set's smallest position.
+    let mut parent: Vec<usize> = (0..rows.len()).collect();
+    let find = |parent: &mut Vec<usize>, mut x: usize| {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    };
+    let mut movable = vec![false; rows.len()];
+    let mut first_row: HashMap<NullId, usize> = HashMap::new();
+    for (pos, &id) in rows.iter().enumerate() {
+        for v in target.tuple(id) {
+            let Value::Null(n) = v else { continue };
+            if frozen.contains(&n) {
+                continue;
+            }
+            movable[pos] = true;
+            let other = *first_row.entry(n).or_insert(pos);
+            let (a, b) = (find(&mut parent, pos), find(&mut parent, other));
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    let mut block_of = vec![None; rows.len()];
+    let mut blocks: Vec<Vec<usize>> = Vec::new();
+    for pos in 0..rows.len() {
+        if !movable[pos] {
+            continue;
+        }
+        // Roots come first in position order, so a root's block exists
+        // before any other member asks for it.
+        let root = find(&mut parent, pos);
+        let block = match block_of[root] {
+            Some(block) => block,
+            None => {
+                blocks.push(Vec::new());
+                blocks.len() - 1
+            }
+        };
+        block_of[pos] = Some(block);
+        blocks[block].push(pos);
+    }
+    (block_of, blocks)
 }
 
 #[cfg(test)]

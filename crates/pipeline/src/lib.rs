@@ -14,9 +14,13 @@
 //!
 //! The crate also implements **core minimization** of chased instances
 //! ([`core_minimize`]), after ten Cate–Chiticariu–Kolaitis–Tan, *Laconic
-//! Schema Mappings*: greedy endomorphism shrinking removes every tuple `t`
-//! such that a homomorphism `J → J∖{t}` exists, which for a finite instance
-//! reaches exactly the core. With [`Pipeline::core_mode`] on, every
+//! Schema Mappings*: one greedy pass removes each tuple `t` such that a
+//! homomorphism `J → J∖{t}` exists, which for a finite instance reaches
+//! exactly the core. Each candidate's search moves only the nulls of its
+//! own block, the rows linked to it through nulls this hop invented
+//! (Fagin–Kolaitis–Popa, *Data Exchange: Getting to the Core*), so it maps
+//! that block's rows rather than the whole instance. With
+//! [`Pipeline::core_mode`] on, every
 //! intermediate instance is minimized before the next hop, shrinking the
 //! data every downstream hot path touches. Values of surviving tuples are
 //! never rewritten, so every route computed on the core replays verbatim on
@@ -254,16 +258,18 @@ pub fn chase_pipeline(
 ) -> Result<PreparedPipeline, PipelineError> {
     let started = Instant::now();
     let mut stages: Vec<StageSolution> = Vec::with_capacity(pipeline.hops());
-    let mut current = source;
+    let mut source = Some(source);
     for (k, stage) in pipeline.stages().iter().enumerate() {
-        if k > 0 {
-            let prev = &pipeline.stages()[k - 1];
-            current = rebind_instance(
-                &current,
-                &SchemaRef(prev.mapping.target()),
+        // Hop k > 0 chases hop k - 1's stored target, rebound onto hop k's
+        // source schema.
+        let current = match source.take() {
+            Some(source) => source,
+            None => rebind_instance(
+                &stages[k - 1].target,
+                &SchemaRef(pipeline.stages()[k - 1].mapping.target()),
                 &SchemaRef(stage.mapping.source()),
-            );
-        }
+            ),
+        };
         let chase_started = Instant::now();
         let result = chase_with_pool(&stage.mapping, &current, &mut pool, options, workers)
             .map_err(|source| PipelineError::Chase {
@@ -286,7 +292,6 @@ pub fn chase_pipeline(
         } else {
             (result.target, 0, 0)
         };
-        let next = target.clone();
         stages.push(StageSolution {
             name: stage.name.clone(),
             source: current,
@@ -298,7 +303,6 @@ pub fn chase_pipeline(
             chase_us,
             core_us,
         });
-        current = next;
     }
     let weakly_acyclic = pipeline
         .stages()

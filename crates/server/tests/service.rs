@@ -944,6 +944,35 @@ fn pipeline_sessions_survive_a_restart() {
 /// down.
 struct Spiderd(std::process::Child);
 
+impl Spiderd {
+    /// Start `spiderd` on an ephemeral port with one worker thread and the
+    /// given extra environment; returns it and the address it listens on.
+    fn spawn(env: &[(&str, &str)]) -> (Spiderd, std::net::SocketAddr) {
+        use std::process::{Command, Stdio};
+        let mut child = Spiderd(
+            Command::new(env!("CARGO_BIN_EXE_spiderd"))
+                .args(["--addr", "127.0.0.1:0", "--threads", "1"])
+                .env("ROUTES_LOG", "error")
+                .envs(env.iter().copied())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("spawn spiderd"),
+        );
+        let mut banner = String::new();
+        BufReader::new(child.0.stdout.take().expect("piped stdout"))
+            .read_line(&mut banner)
+            .expect("listening line");
+        let addr = banner
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|addr| addr.parse().ok())
+            .unwrap_or_else(|| panic!("no address in {banner:?}"));
+        (child, addr)
+    }
+}
+
 impl Drop for Spiderd {
     fn drop(&mut self) {
         let _ = self.0.kill();
@@ -956,28 +985,8 @@ impl Drop for Spiderd {
 /// environment is never touched.
 #[test]
 fn padded_env_numbers_configure_the_server() {
-    use std::process::{Command, Stdio};
-    let mut child = Spiderd(
-        Command::new(env!("CARGO_BIN_EXE_spiderd"))
-            .args(["--addr", "127.0.0.1:0", "--threads", "1"])
-            .env("ROUTES_MAX_QUEUE", " 8")
-            .env("ROUTES_WINDOW_SECONDS", "7\n")
-            .env("ROUTES_LOG", "error")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn spiderd"),
-    );
-    let mut banner = String::new();
-    BufReader::new(child.0.stdout.take().expect("piped stdout"))
-        .read_line(&mut banner)
-        .expect("listening line");
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|addr| addr.parse().ok())
-        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let (mut child, addr) =
+        Spiderd::spawn(&[("ROUTES_MAX_QUEUE", " 8"), ("ROUTES_WINDOW_SECONDS", "7\n")]);
     let mut c = Client::connect(addr);
     let (status, metrics) = c.request("GET", "/metrics", None);
     assert_eq!(status, 200);
@@ -992,6 +1001,41 @@ fn padded_env_numbers_configure_the_server() {
         Some(7),
         "ROUTES_WINDOW_SECONDS=\"7\\n\""
     );
+    let (status, _) = c.request("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    assert!(child.0.wait().expect("spiderd exits").success());
+}
+
+/// A core-on pipeline create whose chase makes 4,000 rows is answered on a
+/// worker's default 2 MiB stack, and the process serves on. (The core's
+/// homomorphism search once recursed per mapped row, and this create
+/// overflowed the worker's stack, aborting the whole server.)
+#[test]
+fn large_core_pipeline_create_keeps_the_server_alive() {
+    let (mut child, addr) = Spiderd::spawn(&[]);
+    let mut text = String::from(
+        "stage widen:\n  source schema:\n    S(a, b)\n  target schema:\n    T(a, b)\n  \
+         dependencies:\n    r1: S(x, y) -> exists Z: T(x, Z)\n    c1: S(x, y) -> T(x, y)\n\
+         source data:\n",
+    );
+    for i in 0..2_000 {
+        text.push_str(&format!("  S({i}, {})\n", i + 1));
+    }
+    text.push_str("pipeline:\n  core: on\n");
+    let create = format!("{{\"scenario\": {}}}", json_escape(&text));
+    let mut c = Client::connect(addr);
+    let (status, reply) = c.request("POST", "/sessions", Some(&create));
+    assert_eq!(status, 201, "{reply:?}");
+    let pipe = reply
+        .get("pipeline")
+        .expect("pipeline block in create reply");
+    assert_eq!(
+        pipe.get("core_tuples_before").unwrap().as_u64(),
+        Some(4_000)
+    );
+    assert_eq!(pipe.get("core_tuples_after").unwrap().as_u64(), Some(2_000));
+    let (status, _) = c.request("GET", "/healthz", None);
+    assert_eq!(status, 200);
     let (status, _) = c.request("POST", "/shutdown", None);
     assert_eq!(status, 200);
     assert!(child.0.wait().expect("spiderd exits").success());

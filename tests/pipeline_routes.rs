@@ -19,13 +19,19 @@
 //!     restricted to branches whose facts all survive minimization — every
 //!     route survivable on the core is still produced, and nothing new is
 //!     invented.
+//! (d) **Block-local cores equal the global fixpoint.** `core_minimize`
+//!     (one greedy pass, each candidate searching only its own block) keeps
+//!     exactly the rows of the global greedy fixpoint it replaced, kept
+//!     here as the oracle, on every hop of uncored pipeline chases and on
+//!     seeded random instances with shared and frozen nulls.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
+use routes_chase::hom::search;
 use routes_chase::ChaseOptions;
 use routes_core::{compute_all_routes, RouteEnv, RouteForest};
-use routes_gen::pipeline_scenario;
-use routes_model::{Instance, Schema, Side, TupleId, ValuePool};
+use routes_gen::{pipeline_scenario, Rng};
+use routes_model::{Instance, NullId, Schema, Side, TupleId, Value, ValuePool};
 use routes_pipeline::{
     chase_pipeline, core_minimize, frozen_nulls, stitch_route, PreparedPipeline,
 };
@@ -357,4 +363,139 @@ fn core_forests_equal_the_surviving_slice_of_full_forests() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------- gate (d)
+
+/// The global greedy fixpoint `core_minimize` replaced: every candidate's
+/// search maps every live row, and passes repeat until one removes
+/// nothing. Returns the kept rows and the number removed.
+fn oracle_core(target: &Instance, frozen: &HashSet<NullId>) -> (Vec<TupleId>, usize) {
+    let all: Vec<TupleId> = target.all_rows().collect();
+    let mut removed: HashSet<TupleId> = HashSet::new();
+    loop {
+        let mut changed = false;
+        for &cand in &all {
+            if removed.contains(&cand) {
+                continue;
+            }
+            let movable = target
+                .tuple(cand)
+                .into_iter()
+                .any(|v| matches!(v, Value::Null(n) if !frozen.contains(&n)));
+            if !movable {
+                continue;
+            }
+            removed.insert(cand);
+            let mut tuples = vec![cand];
+            tuples.extend(all.iter().copied().filter(|t| !removed.contains(t)));
+            if search(
+                target,
+                target,
+                &tuples,
+                frozen,
+                &removed,
+                &mut HashMap::new(),
+            ) {
+                changed = true;
+            } else {
+                removed.remove(&cand);
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    let kept = all.into_iter().filter(|t| !removed.contains(t)).collect();
+    (kept, removed.len())
+}
+
+fn assert_core_matches_oracle(
+    schema: &Schema,
+    target: &Instance,
+    frozen: &HashSet<NullId>,
+    case: &str,
+) -> usize {
+    let outcome = core_minimize(schema, target, frozen);
+    let (kept, removed) = oracle_core(target, frozen);
+    assert_eq!(
+        outcome.kept, kept,
+        "{case}: kept rows differ from the oracle"
+    );
+    assert_eq!(outcome.removed, removed, "{case}: removed count differs");
+    removed
+}
+
+#[test]
+fn block_local_cores_match_the_global_fixpoint_on_pipeline_hops() {
+    let mut removed = 0;
+    for hops in 1..=3 {
+        for seed in [1, 2, 3, 4] {
+            // Core off: each hop's target is unminimized, and its source
+            // (the previous hop's target) carries the frozen nulls.
+            let p = prepare(hops, 48, seed, true, false, 1);
+            for (k, stage) in p.stages.iter().enumerate() {
+                removed += assert_core_matches_oracle(
+                    p.pipeline.stages()[k].mapping.target(),
+                    &stage.target,
+                    &frozen_nulls(&stage.source),
+                    &format!("hops={hops} seed={seed} hop={k}"),
+                );
+            }
+        }
+    }
+    assert!(
+        removed > 0,
+        "the redundancy-heavy chains must have cores to find"
+    );
+}
+
+#[test]
+fn block_local_cores_match_the_global_fixpoint_on_random_instances() {
+    let mut schema = Schema::new();
+    let r = schema.rel("R", &["a", "b"]);
+    let s = schema.rel("S", &["a", "b", "c"]);
+    let mut pool = ValuePool::new();
+    let movable: Vec<Value> = (0..5).map(|i| pool.named_null(&format!("M{i}"))).collect();
+    let rigid: Vec<Value> = (0..2).map(|i| pool.named_null(&format!("F{i}"))).collect();
+    let frozen: HashSet<NullId> = rigid
+        .iter()
+        .map(|v| match v {
+            Value::Null(n) => *n,
+            _ => unreachable!(),
+        })
+        .collect();
+    let mut rng = Rng::seed_from_u64(0xC0DE);
+    let (mut with_removals, mut with_shared_nulls) = (0, 0);
+    for case in 0..3_000 {
+        let mut target = Instance::new(&schema);
+        for _ in 0..rng.gen_range(2..=10usize) {
+            let (rel, arity) = if rng.gen_bool(0.5) { (r, 2) } else { (s, 3) };
+            let row: Vec<Value> = (0..arity)
+                .map(|_| match rng.gen_range(0..20u32) {
+                    0..=7 => Value::Int(rng.gen_range(0..3i64)),
+                    8..=16 => movable[rng.gen_range(0..movable.len())],
+                    _ => rigid[rng.gen_range(0..rigid.len())],
+                })
+                .collect();
+            target.insert_ok(rel, &row);
+        }
+        let mut rows_per_null: HashMap<Value, HashSet<TupleId>> = HashMap::new();
+        for id in target.all_rows() {
+            for v in target.tuple(id) {
+                if movable.contains(&v) {
+                    rows_per_null.entry(v).or_default().insert(id);
+                }
+            }
+        }
+        with_shared_nulls += usize::from(rows_per_null.values().any(|rows| rows.len() > 1));
+        let removed =
+            assert_core_matches_oracle(&schema, &target, &frozen, &format!("random case {case}"));
+        with_removals += usize::from(removed > 0);
+    }
+    assert!(
+        with_removals > 500 && with_shared_nulls > 1_500,
+        "the generator must exercise removals ({with_removals}) and multi-row blocks \
+         ({with_shared_nulls})"
+    );
 }
