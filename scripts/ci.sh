@@ -83,9 +83,11 @@ cargo run --release --offline -p routes-bench --bin repro -- micro sessions --qu
 cargo run --release --offline -p routes-bench --bin repro -- micro persist --quick
 
 # Pipeline gate: stage-by-stage chase + route stitching byte-identical at
-# every worker count, core-mode routes replay end to end, and the core
+# every worker count, core-mode routes replay end to end, the core
 # session's all-routes output matches the unminimized session on
-# surviving tuples.
+# surviving tuples, and the one-pass block-local core keeps exactly the
+# rows of the global greedy fixpoint (the test's oracle) on every hop of
+# uncored chains and on 3,000 seeded random instances.
 ROUTES_THREADS=2 cargo test -q --offline --test pipeline_routes
 ROUTES_THREADS=8 cargo test -q --offline --test pipeline_routes
 
