@@ -14,7 +14,7 @@ use routes_gen::TpchRows;
 use routes_model::{Instance, TupleId};
 
 use crate::table::Table;
-use crate::{measure, secs};
+use crate::{bench_timed, measure, secs};
 
 /// Maps the paper's instance-size labels to TPC-H scale factors, scaled by
 /// a reproduction factor.
@@ -173,29 +173,47 @@ pub fn fig10c(sizing: &Sizing) -> Table {
     table
 }
 
+/// Timed runs per [`fig10d`] cell, after one warm-up run.
+const FIG10D_TRIALS: usize = 7;
+
 /// **Figure 10(d)**: `ComputeOneRoute` vs. `ComputeAllRoutes` (log scale in
 /// the paper); 1-join tgds, M/T = 3, |I| = "100 MB". The all-routes time
 /// covers forest construction only, matching the paper ("does not include
 /// the time required to print all routes").
+///
+/// Each cell is the median of [`FIG10D_TRIALS`] timed runs after a warm-up
+/// ([`bench_timed`]), written with the runs' min and max; the ratio is of
+/// the medians.
 pub fn fig10d(sizing: &Sizing) -> Table {
     let mut table = Table::new(
         "Figure 10(d): one route vs. all routes; 1-join tgds, M/T=3, |I|=100MB",
-        &["tuples", "computeOneRoute", "computeAllRoutes", "ratio"],
+        &[
+            "tuples",
+            "trials",
+            "computeOneRoute",
+            "computeOneRoute_min",
+            "computeOneRoute_max",
+            "computeAllRoutes",
+            "computeAllRoutes_min",
+            "computeAllRoutes_max",
+            "ratio",
+        ],
     );
     let mut sc = relational_scenario(1, &TpchRows::scale(sizing.mid_size()), 0xD0D0);
     let solution = sc.scenario.solution().expect("chase succeeds").target;
     let env = RouteEnv::new(&sc.scenario.mapping, &sc.scenario.source, &solution);
     for (k, &n) in SELECTION_SIZES.iter().enumerate() {
         let selection = sc.select_from_group(&solution, 3, n, 4000 + k as u64);
-        let one = one_route_time(env, &selection, false);
-        let all = all_routes_time(env, &selection);
-        let ratio = all.as_secs_f64() / one.as_secs_f64().max(1e-9);
-        table.push(vec![
-            n.to_string(),
-            secs(one),
-            secs(all),
-            format!("{ratio:.1}x"),
-        ]);
+        let one = bench_timed(1, FIG10D_TRIALS, || {
+            compute_one_route(env, &selection).expect("benchmark selections always have routes")
+        });
+        assert!(compute_all_routes(env, &selection).all_roots_provable());
+        let all = bench_timed(1, FIG10D_TRIALS, || compute_all_routes(env, &selection));
+        let ratio = all[1].as_secs_f64() / one[1].as_secs_f64().max(1e-9);
+        let mut row = vec![n.to_string(), FIG10D_TRIALS.to_string()];
+        row.extend([one[1], one[0], one[2], all[1], all[0], all[2]].map(secs));
+        row.push(format!("{ratio:.1}x"));
+        table.push(row);
         eprintln!("  fig10d: n={n} done");
     }
     table

@@ -6,151 +6,185 @@
 //! exploration. The result is a [`RouteForest`] whose size is polynomial in
 //! `|I| + |J| + |Js|` (Proposition 3.6) and which represents every minimal
 //! route up to stratified interpretation (Theorem 3.7).
+//!
+//! There is one builder, [`compute_all_routes_with_pool`], and it runs
+//! Figure 3 in two passes:
+//!
+//! 1. **Expansion, wave by wave.** Figure 3's worklist expands every tuple
+//!    reachable from the selection through target-tgd children, each once;
+//!    which tuple it expands when never changes a tuple's branches. So the
+//!    builder expands the same set breadth first: the first wave is the
+//!    selection, and each next wave is every tuple first reached from the
+//!    previous one. A wave is expanded **set-at-a-time**: grouped by
+//!    relation, it runs one batched `findHom` ([`find_homs`]) per tgd with
+//!    an RHS atom over the group's relation, and each tuple receives exactly
+//!    the branches a per-tuple `findHom` loop would give it. Waves of at
+//!    least two chunks of `WAVE_CHUNK` tuples are split over the workers.
+//! 2. **Exploration order.** Figure 3's depth-first worklist then runs over
+//!    the finished expansions and records `order`.
+//!
+//! The forest — roots, exploration order and every branch — is therefore
+//! byte-identical at every worker count to the per-tuple depth-first
+//! builder, which the determinism suite keeps as its oracle.
 
 use std::collections::{HashMap, HashSet};
 
 use routes_mapping::TgdId;
-use routes_model::{Fact, TupleId, Value};
+use routes_model::{Atom, Fact, Instance, RelId, Term, TupleId, Value};
 use routes_pool::Pool;
 
 use crate::env::RouteEnv;
-use crate::findhom::{AnchorSide, FindHom};
+use crate::findhom::{find_homs, AnchorSide};
 use crate::forest::{Branch, RouteForest};
 
-/// All `(σ, h)` branches under the node `t` — steps 2 and 3 of Figure 3 for
-/// one tuple, in tgd order then hom-enumeration order. A pure read of `env`,
-/// so waves of tuples can be expanded on worker threads
-/// ([`compute_all_routes_with_pool`]).
-fn expand_tuple(env: RouteEnv<'_>, t: TupleId) -> Vec<Branch> {
-    let mut branches: Vec<Branch> = Vec::new();
-    let mut seen: HashSet<(TgdId, Box<[Value]>)> = HashSet::new();
-    for tgd_id in env.mapping.tgd_ids() {
-        // Forest expansion always drains every assignment, so push the whole
-        // enumeration through the vectorized batch executor; the sequence is
-        // byte-identical to lazy `next_hom` draining, so dedup's
-        // first-occurrence order — and hence the forest — is unchanged.
-        let fh = FindHom::new(env, tgd_id, AnchorSide::Rhs, Fact::target(t));
-        for hom in fh.collect_all() {
-            if !seen.insert((tgd_id, hom.clone())) {
-                continue;
+/// The fewest wave tuples worth a worker thread: a wave is split over the
+/// pool only in chunks of at least this many, so the one- and two-tuple
+/// waves of chain-shaped forests never pay for a thread spawn.
+const WAVE_CHUNK: usize = 16;
+
+/// For each target relation, the tgds with an RHS atom over it, in tgd
+/// order: the only tgds whose `findHom` a tuple of that relation can match.
+fn anchor_tgds(env: RouteEnv<'_>) -> HashMap<RelId, Vec<TgdId>> {
+    let mut by_rel: HashMap<RelId, Vec<TgdId>> = HashMap::new();
+    for id in env.mapping.tgd_ids() {
+        for atom in env.mapping.tgd(id).rhs() {
+            let tgds = by_rel.entry(atom.rel).or_default();
+            if tgds.last() != Some(&id) {
+                tgds.push(id);
             }
-            let lhs_facts = env
-                .lhs_facts(tgd_id, &hom)
-                .expect("findHom assignments map the LHS into its instance");
-            let rhs_tuples = env
-                .rhs_tuples(tgd_id, &hom)
-                .expect("findHom assignments map the RHS into the solution");
-            // Deduplicate children while preserving atom order; the set
-            // carries the O(1) membership test.
-            let mut lhs_dedup: Vec<Fact> = Vec::with_capacity(lhs_facts.len());
-            let mut lhs_seen: HashSet<Fact> = HashSet::with_capacity(lhs_facts.len());
-            for f in lhs_facts {
-                if lhs_seen.insert(f) {
-                    lhs_dedup.push(f);
-                }
-            }
-            branches.push(Branch {
-                tgd: tgd_id,
-                hom,
-                lhs_facts: lhs_dedup,
-                rhs_tuples,
+        }
+    }
+    by_rel
+}
+
+/// All `(σ, h)` branches under each tuple of `wave` — steps 2 and 3 of
+/// Figure 3 — in tgd order, then hom-enumeration order. The wave is grouped
+/// by relation once, and each group runs one [`find_homs`] per tgd that can
+/// match it; `find_homs` hands each tuple its own per-tuple sequence,
+/// deduplicated on `(σ, h)`.
+fn expand_wave(
+    env: RouteEnv<'_>,
+    anchors: &HashMap<RelId, Vec<TgdId>>,
+    wave: &[TupleId],
+) -> Vec<Vec<Branch>> {
+    let mut branches: Vec<Vec<Branch>> = vec![Vec::new(); wave.len()];
+    // A stable sort keeps wave order within each relation.
+    let mut by_rel: Vec<usize> = (0..wave.len()).collect();
+    by_rel.sort_by_key(|&i| wave[i].rel);
+    let mut image = Vec::new();
+    for group in by_rel.chunk_by(|&a, &b| wave[a].rel == wave[b].rel) {
+        let Some(tgds) = anchors.get(&wave[group[0]].rel) else {
+            continue;
+        };
+        let probes: Vec<Fact> = group.iter().map(|&i| Fact::target(wave[i])).collect();
+        for &id in tgds {
+            find_homs(env, id, AnchorSide::Rhs, &probes, true, |p, hom| {
+                branches[group[p]].push(branch(env, id, hom, &mut image));
             });
         }
     }
     branches
 }
 
-/// Build the route forest for the selected target tuples.
+/// The branch `(σ, h)` with its children — `LHS(h(σ))`, deduplicated in
+/// atom order — and its RHS tuples, resolved through the reused `image`
+/// buffer.
+fn branch(env: RouteEnv<'_>, id: TgdId, hom: Box<[Value]>, image: &mut Vec<Value>) -> Branch {
+    let tgd = env.mapping.tgd(id);
+    let (lhs_instance, side) = (env.lhs_instance(id), env.lhs_side(id));
+    let mut lhs_facts: Vec<Fact> = Vec::with_capacity(tgd.lhs().len());
+    for atom in tgd.lhs() {
+        let fact = Fact {
+            side,
+            id: resolve(lhs_instance, atom, &hom, image),
+        };
+        // A tgd has a handful of atoms: a linear scan is the cheap dedup.
+        if !lhs_facts.contains(&fact) {
+            lhs_facts.push(fact);
+        }
+    }
+    let rhs_tuples = tgd
+        .rhs()
+        .iter()
+        .map(|atom| resolve(env.target, atom, &hom, image))
+        .collect();
+    Branch {
+        tgd: id,
+        hom,
+        lhs_facts,
+        rhs_tuples,
+    }
+}
+
+/// The tuple of `inst` that is `atom`'s image under the total assignment
+/// `hom`.
+fn resolve(inst: &Instance, atom: &Atom, hom: &[Value], image: &mut Vec<Value>) -> TupleId {
+    image.clear();
+    image.extend(atom.terms.iter().map(|term| match term {
+        Term::Const(c) => *c,
+        Term::Var(v) => hom[v.0 as usize],
+    }));
+    inst.find(atom.rel, image)
+        .expect("findHom assignments map every atom into its instance")
+}
+
+/// Build the route forest for the selected target tuples, on the calling
+/// thread: [`compute_all_routes_with_pool`] with [`Pool::sequential`].
 ///
 /// Works for **any** solution `J`: selected tuples with no witnessing
 /// assignment simply get an empty branch list (and
 /// [`RouteForest::all_roots_provable`] reports the gap).
 pub fn compute_all_routes(env: RouteEnv<'_>, selected: &[TupleId]) -> RouteForest {
-    let mut forest = RouteForest {
-        roots: selected.to_vec(),
-        ..RouteForest::default()
-    };
-    let mut active: HashSet<TupleId> = HashSet::new();
-    // Explicit worklist rather than recursion: route chains can be as long
-    // as |J| (e.g. transitive-closure mappings).
-    let mut stack: Vec<TupleId> = selected.iter().rev().copied().collect();
-
-    while let Some(t) = stack.pop() {
-        if !active.insert(t) {
-            continue;
-        }
-        forest.order.push(t);
-        let branches = expand_tuple(env, t);
-        // Step 3(b): explore the LHS tuples of target-tgd branches.
-        for branch in &branches {
-            for child in branch.target_children() {
-                stack.push(child);
-            }
-        }
-        forest.branches.insert(t, branches);
-    }
-    forest
+    compute_all_routes_with_pool(env, selected, &Pool::sequential())
 }
 
-/// [`compute_all_routes`] with branch computation fanned out over `workers`.
-///
-/// The frontier is expanded in waves: every distinct unexplored tuple on the
-/// worklist is expanded on a worker thread (a pure read of `env`), then a
-/// sequential replay loop — the exact control flow of
-/// [`compute_all_routes`] — consumes the cached expansions, owns
-/// `ACTIVETUPLES` and `forest.order`, and pushes children, pausing for the
-/// next wave when a child discovered mid-replay has no cached expansion yet.
-/// The emitted forest (roots, exploration order, and every branch) is
-/// therefore identical to the sequential builder's at any worker count, and
-/// the two independent traversals cross-check each other in the determinism
-/// suite.
+/// Build the route forest for the selected target tuples, expanding each
+/// wave over `workers` (see the module docs). The forest is identical at
+/// every worker count.
 pub fn compute_all_routes_with_pool(
     env: RouteEnv<'_>,
     selected: &[TupleId],
     workers: &Pool,
 ) -> RouteForest {
+    let anchors = anchor_tgds(env);
     let mut forest = RouteForest {
         roots: selected.to_vec(),
         ..RouteForest::default()
     };
-    let mut active: HashSet<TupleId> = HashSet::new();
-    let mut expanded: HashMap<TupleId, Vec<Branch>> = HashMap::new();
-    let mut stack: Vec<TupleId> = selected.iter().rev().copied().collect();
-
-    while !stack.is_empty() {
-        // The wave: every distinct tuple on the worklist that is neither
-        // explored nor cached. Expansion order within the wave is free — only
-        // the replay below decides the output order. Each tuple is expanded
-        // at most once across all waves, exactly as in the sequential
-        // builder.
-        let mut wave: Vec<TupleId> = Vec::new();
-        let mut in_wave: HashSet<TupleId> = HashSet::new();
-        for &t in stack.iter().rev() {
-            if !active.contains(&t) && !expanded.contains_key(&t) && in_wave.insert(t) {
-                wave.push(t);
-            }
-        }
-        let results = workers.par_map_items(&wave, 1, |&t| expand_tuple(env, t));
-        for (t, branches) in wave.into_iter().zip(results) {
-            expanded.insert(t, branches);
-        }
-        while let Some(t) = stack.pop() {
-            if active.contains(&t) {
-                continue;
-            }
-            let Some(branches) = expanded.remove(&t) else {
-                // Discovered mid-replay; expand it with the next wave.
-                stack.push(t);
-                break;
-            };
-            active.insert(t);
-            forest.order.push(t);
-            for branch in &branches {
-                for child in branch.target_children() {
-                    stack.push(child);
-                }
-            }
+    // Pass 1: expand every reachable tuple once, a wave at a time.
+    let mut reached: HashSet<TupleId> = HashSet::new();
+    let mut wave: Vec<TupleId> = selected
+        .iter()
+        .copied()
+        .filter(|&t| reached.insert(t))
+        .collect();
+    while !wave.is_empty() {
+        let expansions = workers.par_map_chunks(wave.len(), WAVE_CHUNK, |_, range| {
+            expand_wave(env, &anchors, &wave[range])
+        });
+        let mut next = Vec::new();
+        for (t, branches) in wave.into_iter().zip(expansions.into_iter().flatten()) {
+            next.extend(
+                branches
+                    .iter()
+                    .flat_map(Branch::target_children)
+                    .filter(|&c| reached.insert(c)),
+            );
             forest.branches.insert(t, branches);
+        }
+        wave = next;
+    }
+    // Pass 2: Figure 3's depth-first worklist (explicit, not recursive:
+    // route chains can be as long as |J|) fixes the exploration order.
+    // `reached` holds the tuples not yet explored.
+    let mut stack: Vec<TupleId> = selected.iter().rev().copied().collect();
+    while let Some(t) = stack.pop() {
+        if !reached.remove(&t) {
+            continue;
+        }
+        forest.order.push(t);
+        for branch in &forest.branches[&t] {
+            stack.extend(branch.target_children());
         }
     }
     forest

@@ -1,4 +1,4 @@
-//! `findHom` (paper Figure 4): lazily enumerate assignments `h = v1 ∪ v2 ∪ v3`
+//! `findHom` (paper Figure 4): enumerate assignments `h = v1 ∪ v2 ∪ v3`
 //! for a tuple `t` and a tgd `σ = ∀x φ(x) → ∃y ψ(x, y)` such that
 //! `h(φ) ⊆ K`, `h(ψ) ⊆ J`, and `t ∈ h(ψ)` — where `K = I` for s-t tgds and
 //! `K = J` for target tgds.
@@ -11,20 +11,37 @@
 //!    paper pushes it into DB2 — §3.3).
 //! 3. **v3** — complete the RHS as a selection query over `J`.
 //!
-//! Assignments are fetched **one at a time** (paper §3.3), which is what
-//! makes `ComputeOneRoute` fast: it stops at the first assignment.
+//! There are two ways to run it:
+//!
+//! - [`FindHom::next_hom`] fetches assignments **one at a time** (paper
+//!   §3.3), which is what makes `ComputeOneRoute` fast: it stops at the
+//!   first assignment.
+//! - [`find_homs`] drains the whole enumeration for a **set** of probes at
+//!   once: per anchor atom, the `v1` of every probe enters one batch, and
+//!   stages 2 and 3 run once for the batch through the vectorized executor.
+//!   Each probe still receives exactly its own lazy sequence.
+//!   `ComputeAllRoutes` expands a forest wave this way;
+//!   [`FindHom::collect_all`] and [`FindHom::collect_dedup`] are its
+//!   one-probe calls.
 //!
 //! The same machinery anchored on the **LHS** supports routes for selected
 //! *source* tuples (§3.4): see [`AnchorSide::Lhs`].
 
+use std::collections::HashSet;
+
 use routes_mapping::{Tgd, TgdId};
-use routes_model::{Fact, Instance, Value};
+use routes_model::{Atom, Fact, Instance, RelId, Value, Var};
 use routes_query::{
-    batch_matches_with_plan, plan, plan_with_bound, unify_atom, BatchOptions, BindingBatch,
-    Bindings, MatchIter,
+    batch_matches_with_plan, plan_with_bound, unify_atom, BatchOptions, BindingBatch, Bindings,
+    MatchIter,
 };
 
 use crate::env::RouteEnv;
+
+/// Anchor unifications per batch pipeline run of [`find_homs`]: each slice
+/// is joined and emitted before the next is seeded, so one run's batches
+/// hold at most one slice's matches.
+const SEED_SLICE: usize = 256;
 
 /// Which side of the tgd the probed tuple is matched against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,17 +54,201 @@ pub enum AnchorSide {
     Lhs,
 }
 
-/// Lazy iterator over the total assignments of one tgd that witness one
-/// tuple. See the module docs.
-pub struct FindHom<'a> {
+/// One tgd's `findHom` for probes of one relation: the tgd, the instances
+/// its two sides range over, and the anchor-side atoms over that relation.
+struct Stages<'a> {
     tgd: &'a Tgd,
     lhs_instance: &'a Instance,
     target: &'a Instance,
-    tuple_values: Vec<Value>,
-    /// Indices of candidate anchor atoms (on the anchor side) over the
-    /// probed tuple's relation.
+    anchor_atoms: &'a [Atom],
+    /// Indices into `anchor_atoms` of the atoms over the probes' relation.
     anchors: Vec<usize>,
-    anchor_side: AnchorSide,
+}
+
+impl<'a> Stages<'a> {
+    /// The stages of tgd `id` for probes of `rel` on `side`, and the
+    /// instance those probes live in.
+    fn new(env: RouteEnv<'a>, id: TgdId, side: AnchorSide, rel: RelId) -> (Self, &'a Instance) {
+        let tgd = env.mapping.tgd(id);
+        let lhs_instance = env.lhs_instance(id);
+        let (anchor_atoms, probe_instance) = match side {
+            AnchorSide::Rhs => (tgd.rhs(), env.target),
+            AnchorSide::Lhs => (tgd.lhs(), lhs_instance),
+        };
+        let anchors = anchor_atoms
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.rel == rel)
+            .map(|(i, _)| i)
+            .collect();
+        let stages = Stages {
+            tgd,
+            lhs_instance,
+            target: env.target,
+            anchor_atoms,
+            anchors,
+        };
+        (stages, probe_instance)
+    }
+
+    /// Every total assignment for each probe (given by its values), emitted
+    /// as `(probe index, assignment)`: anchor by anchor, and within an
+    /// anchor in probe order, so each probe's own sequence is the lazy one.
+    fn drain(&self, probes: &[&[Value]], dedup: bool, emit: &mut dyn FnMut(usize, Box<[Value]>)) {
+        let var_count = self.tgd.var_count();
+        // The tag variable: no atom mentions it, so it rides through both
+        // joins as an extra input column. A lone probe needs none, and then
+        // runs exactly the plan and batch calls of a single `v1` seed.
+        let tag = (probes.len() > 1).then_some(Var(var_count as u32));
+        let var_space = var_count + usize::from(tag.is_some());
+        // One anchor never yields an assignment twice — an instance holds
+        // each row once, and a total assignment fixes every atom's row — so
+        // only probes that two or more anchors unify with need a seen-set.
+        let mut seen: Vec<Option<HashSet<Box<[Value]>>>> = Vec::new();
+        if dedup && self.anchors.len() > 1 {
+            let mut unified = vec![0u32; probes.len()];
+            for &a in &self.anchors {
+                let mut v1 = Bindings::new(var_space);
+                for (n, values) in unified.iter_mut().zip(probes) {
+                    *n += u32::from(anchor_v1(&self.anchor_atoms[a], values, &mut v1));
+                }
+            }
+            seen = unified
+                .iter()
+                .map(|&n| (n > 1).then(HashSet::new))
+                .collect();
+        }
+        for &a in &self.anchors {
+            let atom = &self.anchor_atoms[a];
+            let layout = || BindingBatch::new(var_space, atom.vars().chain(tag));
+            let mut seeds = layout();
+            let mut v1 = Bindings::new(var_space);
+            for (p, values) in probes.iter().enumerate() {
+                if !anchor_v1(atom, values, &mut v1) {
+                    continue;
+                }
+                if let Some(tag) = tag {
+                    v1.set(tag, Value::Int(p as i64));
+                }
+                seeds.push_binding(&v1);
+                if seeds.len() == SEED_SLICE {
+                    let slice = std::mem::replace(&mut seeds, layout());
+                    self.join(&slice, tag.is_some(), &mut seen, emit);
+                }
+            }
+            if !seeds.is_empty() {
+                self.join(&seeds, tag.is_some(), &mut seen, emit);
+            }
+        }
+    }
+
+    /// Stages 2 and 3 for one batch of `v1` seeds. All seeds bind the same
+    /// variables (the anchor's, plus the tag), so each stage is planned once
+    /// — the plan a single seed would get — and the executor emits every
+    /// seed's completions in seed order.
+    fn join(
+        &self,
+        seeds: &BindingBatch,
+        tagged: bool,
+        seen: &mut [Option<HashSet<Box<[Value]>>>],
+        emit: &mut dyn FnMut(usize, Box<[Value]>),
+    ) {
+        let opts = BatchOptions::default();
+        // Stage A (v2): the LHS completions over K.
+        let lhs_order = plan_with_bound(
+            self.lhs_instance,
+            self.tgd.lhs(),
+            seeds.bound_vars().to_vec(),
+        );
+        let lhs_batch =
+            batch_matches_with_plan(self.lhs_instance, self.tgd.lhs(), &lhs_order, seeds, &opts);
+        if lhs_batch.is_empty() {
+            return;
+        }
+        // Stage B (v3): the RHS completion of every LHS match, over J.
+        let rhs_order =
+            plan_with_bound(self.target, self.tgd.rhs(), lhs_batch.bound_vars().to_vec());
+        let homs =
+            batch_matches_with_plan(self.target, self.tgd.rhs(), &rhs_order, &lhs_batch, &opts);
+        for row in 0..homs.len() {
+            let mut hom = homs
+                .total(row)
+                .expect("all tgd variables occur in LHS ∪ RHS");
+            // The tag is the highest variable, so the last column.
+            let probe = match tagged.then(|| hom.pop()) {
+                None => 0,
+                Some(Some(Value::Int(p))) => p as usize,
+                Some(other) => unreachable!("tag column holds {other:?}"),
+            };
+            let hom = hom.into_boxed_slice();
+            if let Some(Some(seen)) = seen.get_mut(probe) {
+                if !seen.insert(hom.clone()) {
+                    continue;
+                }
+            }
+            emit(probe, hom);
+        }
+    }
+}
+
+/// Stage 1 (`v1`): unify `atom` with a probe's values in `v1`, whose
+/// bindings of `atom`'s variables from an earlier probe are cleared first.
+fn anchor_v1(atom: &Atom, values: &[Value], v1: &mut Bindings) -> bool {
+    for v in atom.vars() {
+        v1.unset(v);
+    }
+    unify_atom(atom, values, v1)
+}
+
+/// `findHom` set-at-a-time: every total assignment of the tgd `id` that
+/// witnesses each of `probes`, handed to `emit(probe index, assignment)`.
+///
+/// Each probe receives exactly the sequence [`FindHom::collect_all`] yields
+/// for it alone — or, with `dedup`, the one [`FindHom::collect_dedup`]
+/// yields — but stages 2 and 3 run once per anchor atom and slice of
+/// probes, not once per probe: each anchor unification `v1` enters one
+/// [`BindingBatch`], tagged with its probe's index in the extra variable
+/// `Var(var_count)`. The batch executor keeps seed order and plans from the
+/// bound-variable set alone ([`plan_with_bound`]), and no atom mentions the
+/// tag, so the tag changes neither the plan nor any probe's matches; it only
+/// says whose match a row is.
+///
+/// All probes must be facts of one relation, on the side `side` anchors (see
+/// [`FindHom::new`]).
+pub fn find_homs(
+    env: RouteEnv<'_>,
+    id: TgdId,
+    side: AnchorSide,
+    probes: &[Fact],
+    dedup: bool,
+    mut emit: impl FnMut(usize, Box<[Value]>),
+) {
+    let Some(first) = probes.first() else {
+        return;
+    };
+    let (stages, instance) = Stages::new(env, id, side, first.id.rel);
+    if stages.anchors.is_empty() {
+        return;
+    }
+    let values: Vec<Vec<Value>> = probes
+        .iter()
+        .map(|p| {
+            assert_eq!(
+                p.id.rel, first.id.rel,
+                "find_homs probes share one relation"
+            );
+            instance.tuple(p.id)
+        })
+        .collect();
+    let values: Vec<&[Value]> = values.iter().map(Vec::as_slice).collect();
+    stages.drain(&values, dedup, &mut emit);
+}
+
+/// Lazy iterator over the total assignments of one tgd that witness one
+/// tuple. See the module docs.
+pub struct FindHom<'a> {
+    stages: Stages<'a>,
+    tuple_values: Vec<Value>,
     anchor_pos: usize,
     stage_a: Option<MatchIter<'a>>,
     stage_b: Option<MatchIter<'a>>,
@@ -60,32 +261,17 @@ impl<'a> FindHom<'a> {
     /// [`AnchorSide::Lhs`], it must be a fact of the instance the tgd's LHS
     /// ranges over (source for s-t tgds, target for target tgds).
     pub fn new(env: RouteEnv<'a>, id: TgdId, side: AnchorSide, probe: Fact) -> Self {
-        let tgd = env.mapping.tgd(id);
-        let lhs_instance = env.lhs_instance(id);
-        let (anchor_atoms, probe_instance): (&[routes_model::Atom], &Instance) = match side {
-            AnchorSide::Rhs => {
-                debug_assert_eq!(probe.side, routes_model::Side::Target);
-                (tgd.rhs(), env.target)
+        debug_assert_eq!(
+            probe.side,
+            match side {
+                AnchorSide::Rhs => routes_model::Side::Target,
+                AnchorSide::Lhs => env.lhs_side(id),
             }
-            AnchorSide::Lhs => {
-                debug_assert_eq!(probe.side, env.lhs_side(id));
-                (tgd.lhs(), lhs_instance)
-            }
-        };
-        let tuple_values = probe_instance.tuple(probe.id);
-        let anchors = anchor_atoms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.rel == probe.id.rel)
-            .map(|(i, _)| i)
-            .collect();
+        );
+        let (stages, probe_instance) = Stages::new(env, id, side, probe.id.rel);
         FindHom {
-            tgd,
-            lhs_instance,
-            target: env.target,
-            tuple_values,
-            anchors,
-            anchor_side: side,
+            stages,
+            tuple_values: probe_instance.tuple(probe.id),
             anchor_pos: 0,
             stage_a: None,
             stage_b: None,
@@ -98,6 +284,7 @@ impl<'a> FindHom<'a> {
     /// matches; callers that need set semantics (forest construction)
     /// deduplicate on the `(σ, h)` pair.
     pub fn next_hom(&mut self) -> Option<Box<[Value]>> {
+        let s = &self.stages;
         loop {
             // Stage B (v3): complete the RHS over J.
             if let Some(b_iter) = &mut self.stage_b {
@@ -113,102 +300,56 @@ impl<'a> FindHom<'a> {
             // Stage A (v2): complete the LHS over K.
             if let Some(a_iter) = &mut self.stage_a {
                 if let Some(b) = a_iter.next_match() {
-                    self.stage_b = Some(MatchIter::new(self.target, self.tgd.rhs(), b.clone()));
+                    self.stage_b = Some(MatchIter::new(s.target, s.tgd.rhs(), b.clone()));
                     continue;
                 }
                 self.stage_a = None;
             }
             // Stage 1 (v1): next anchor atom.
-            let anchor_atoms = match self.anchor_side {
-                AnchorSide::Rhs => self.tgd.rhs(),
-                AnchorSide::Lhs => self.tgd.lhs(),
-            };
-            let anchor_idx = loop {
-                let idx = *self.anchors.get(self.anchor_pos)?;
+            loop {
+                let idx = *s.anchors.get(self.anchor_pos)?;
                 self.anchor_pos += 1;
-                let mut v1 = Bindings::new(self.tgd.var_count());
-                if unify_atom(&anchor_atoms[idx], &self.tuple_values, &mut v1) {
-                    self.stage_a = Some(MatchIter::new(self.lhs_instance, self.tgd.lhs(), v1));
-                    break idx;
+                let mut v1 = Bindings::new(s.tgd.var_count());
+                if unify_atom(&s.anchor_atoms[idx], &self.tuple_values, &mut v1) {
+                    self.stage_a = Some(MatchIter::new(s.lhs_instance, s.tgd.lhs(), v1));
+                    break;
                 }
-            };
-            let _ = anchor_idx;
+            }
         }
     }
 
     /// Drain the **entire** remaining enumeration through the vectorized
-    /// batch executor: per anchor, the LHS completion runs as one batch
-    /// pipeline and its result batch seeds the RHS completion directly (all
-    /// LHS matches of one anchor share a bound-variable set, so the RHS is
-    /// planned once).
+    /// batch executor: [`find_homs`] for this one probe, so per anchor the
+    /// LHS completion runs as one batch pipeline and its result batch seeds
+    /// the RHS completion directly.
     ///
     /// The output sequence is exactly what repeated [`FindHom::next_hom`]
     /// calls would yield — the lazy nesting "for each LHS match, drain the
     /// RHS" is the input-major order the batch pipeline preserves — including
-    /// the per-anchor duplicates the lazy path produces. Full-enumeration
-    /// callers (`computeAllRoutes` forest expansion) use this; route-by-route
+    /// the per-anchor duplicates the lazy path produces. Route-by-route
     /// callers keep [`FindHom::next_hom`], whose cost is proportional to how
     /// far the search advances.
     ///
     /// Must be called on a fresh iterator (before any `next_hom`).
-    pub fn collect_all(mut self) -> Vec<Box<[Value]>> {
-        assert!(
-            self.anchor_pos == 0 && self.stage_a.is_none() && self.stage_b.is_none(),
-            "collect_all drains a fresh FindHom"
-        );
-        let anchor_atoms = match self.anchor_side {
-            AnchorSide::Rhs => self.tgd.rhs(),
-            AnchorSide::Lhs => self.tgd.lhs(),
-        };
-        let opts = BatchOptions::default();
-        let mut out = Vec::new();
-        for &idx in &self.anchors {
-            self.anchor_pos += 1;
-            let mut v1 = Bindings::new(self.tgd.var_count());
-            if !unify_atom(&anchor_atoms[idx], &self.tuple_values, &mut v1) {
-                continue;
-            }
-            // Stage A (v2): all LHS completions of v1, batched. Planned the
-            // same way `MatchIter::new` would plan for v1.
-            let lhs_order = plan(self.lhs_instance, self.tgd.lhs(), &v1);
-            let seeds = BindingBatch::seed(&v1);
-            let lhs_batch = batch_matches_with_plan(
-                self.lhs_instance,
-                self.tgd.lhs(),
-                &lhs_order,
-                &seeds,
-                &opts,
-            );
-            if lhs_batch.is_empty() {
-                continue;
-            }
-            // Stage B (v3): the RHS completion of every LHS match, batched.
-            // Each LHS match binds the same variable set, so one plan covers
-            // the whole batch — identical to the per-match plan the lazy
-            // path computes.
-            let rhs_order =
-                plan_with_bound(self.target, self.tgd.rhs(), lhs_batch.bound_vars().to_vec());
-            let final_batch =
-                batch_matches_with_plan(self.target, self.tgd.rhs(), &rhs_order, &lhs_batch, &opts);
-            for row in 0..final_batch.len() {
-                out.push(
-                    final_batch
-                        .total(row)
-                        .expect("all tgd variables occur in LHS ∪ RHS")
-                        .into_boxed_slice(),
-                );
-            }
-        }
-        out
+    pub fn collect_all(self) -> Vec<Box<[Value]>> {
+        self.collect(false)
     }
 
     /// Collect all assignments, deduplicated (first occurrence wins),
     /// through the batched [`FindHom::collect_all`]. Must be called on a
     /// fresh iterator.
     pub fn collect_dedup(self) -> Vec<Box<[Value]>> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = self.collect_all();
-        out.retain(|h| seen.insert(h.clone()));
+        self.collect(true)
+    }
+
+    fn collect(self, dedup: bool) -> Vec<Box<[Value]>> {
+        assert!(
+            self.anchor_pos == 0 && self.stage_a.is_none() && self.stage_b.is_none(),
+            "collect_all drains a fresh FindHom"
+        );
+        let mut out = Vec::new();
+        self.stages
+            .drain(&[&self.tuple_values], dedup, &mut |_, hom| out.push(hom));
         out
     }
 }

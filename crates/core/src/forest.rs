@@ -6,6 +6,10 @@
 //! branch's children) and RHS tuples. Repeated occurrences of a tuple in the
 //! conceptual tree all refer to the same node — the paper's back-references
 //! ("every other occurrence of t has a link to the first t in F").
+//!
+//! [`RouteForest::provable_set`] — which tuples have a route inside the
+//! forest, asked by every all-routes answer — is one counting pass, linear
+//! in the forest's size even when the forest is one long chain.
 
 use std::collections::{HashMap, HashSet};
 
@@ -75,27 +79,56 @@ impl RouteForest {
     /// route exists within the forest. A tuple is provable iff it has an s-t
     /// branch, or a target branch all of whose target children are provable.
     ///
-    /// (Monotone fixpoint; terminates in at most `num_nodes` passes.)
+    /// This least fixpoint is computed by counting, in time linear in the
+    /// forest's size: each target branch counts its target children not yet
+    /// proven, and each newly proven tuple, taken from a queue, decrements
+    /// the branches waiting on it. A branch whose count reaches zero proves
+    /// its tuple. (Re-running the rule until nothing changes would cost one
+    /// pass per link of the longest chain.)
     pub fn provable_set(&self) -> HashSet<TupleId> {
-        let mut provable: HashSet<TupleId> = HashSet::new();
-        loop {
-            let mut changed = false;
-            for (&t, branches) in &self.branches {
+        // Tuples with an s-t branch are proven outright.
+        let mut queue: Vec<TupleId> = self
+            .branches
+            .iter()
+            .filter(|(_, branches)| branches.iter().any(Branch::is_st))
+            .map(|(&t, _)| t)
+            .collect();
+        let mut provable: HashSet<TupleId> = queue.iter().copied().collect();
+        // Per target branch: its tuple, and how many of its target children
+        // were unproven when it was counted; `waiting` lists the branch under
+        // each such child, once per occurrence.
+        let mut pending: Vec<(TupleId, usize)> = Vec::new();
+        let mut waiting: HashMap<TupleId, Vec<usize>> = HashMap::new();
+        for (&t, branches) in &self.branches {
+            for b in branches {
                 if provable.contains(&t) {
-                    continue;
+                    break;
                 }
-                let ok = branches
-                    .iter()
-                    .any(|b| b.is_st() || b.target_children().all(|c| provable.contains(&c)));
-                if ok {
+                let mut unproven = 0;
+                for child in b.target_children() {
+                    if !provable.contains(&child) {
+                        waiting.entry(child).or_default().push(pending.len());
+                        unproven += 1;
+                    }
+                }
+                if unproven == 0 {
                     provable.insert(t);
-                    changed = true;
+                    queue.push(t);
+                } else {
+                    pending.push((t, unproven));
                 }
-            }
-            if !changed {
-                return provable;
             }
         }
+        while let Some(proven) = queue.pop() {
+            for b in waiting.remove(&proven).unwrap_or_default() {
+                let (t, unproven) = &mut pending[b];
+                *unproven -= 1;
+                if *unproven == 0 && provable.insert(*t) {
+                    queue.push(*t);
+                }
+            }
+        }
+        provable
     }
 
     /// Whether every selected root has at least one route in the forest.
@@ -134,6 +167,99 @@ mod tests {
                 .collect(),
             rhs_tuples: rhs.to_vec(),
         }
+    }
+
+    /// The rule of [`RouteForest::provable_set`], re-run until nothing
+    /// changes: the oracle for the counting pass.
+    fn fixpoint_provable(forest: &RouteForest) -> HashSet<TupleId> {
+        let mut provable: HashSet<TupleId> = HashSet::new();
+        loop {
+            let mut changed = false;
+            for (&t, branches) in &forest.branches {
+                if provable.contains(&t) {
+                    continue;
+                }
+                let ok = branches
+                    .iter()
+                    .any(|b| b.is_st() || b.target_children().all(|c| provable.contains(&c)));
+                if ok {
+                    provable.insert(t);
+                    changed = true;
+                }
+            }
+            if !changed {
+                return provable;
+            }
+        }
+    }
+
+    #[test]
+    fn provable_set_matches_the_fixpoint_on_random_forests() {
+        // SplitMix64, so the forests are the same on every run.
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let (mut some_provable, mut some_not) = (0, 0);
+        for case in 0..2_500 {
+            let nodes = 1 + next(30) as u32;
+            let mut forest = RouteForest::default();
+            for n in 0..nodes {
+                // Leave some tuples unexplored: children may name them.
+                if next(6) == 0 {
+                    continue;
+                }
+                let mut branches = Vec::new();
+                for _ in 0..next(4) {
+                    if next(6) == 0 {
+                        branches.push(branch(TgdId::St(0), &[tid(9, n)], &[tid(0, n)]));
+                    } else {
+                        // Children anywhere, so cycles and self-loops occur,
+                        // plus ids past `nodes` that are never explored.
+                        let children: Vec<TupleId> = (0..1 + next(3))
+                            .map(|_| tid(0, next(u64::from(nodes) + 3) as u32))
+                            .collect();
+                        branches.push(branch(TgdId::Target(0), &children, &[tid(0, n)]));
+                    }
+                }
+                forest.branches.insert(tid(0, n), branches);
+            }
+            let provable = forest.provable_set();
+            assert_eq!(provable, fixpoint_provable(&forest), "case {case}");
+            some_provable += usize::from(!provable.is_empty());
+            some_not += usize::from(provable.len() < forest.num_nodes());
+        }
+        assert!(
+            some_provable > 500 && some_not > 500,
+            "{some_provable} / {some_not}"
+        );
+    }
+
+    #[test]
+    fn provable_set_proves_a_long_chain() {
+        // t0 <- target(t1) <- ... <- target(t_{n-1}) <- st: one pass of the
+        // counting queue per link, whatever the map's iteration order.
+        const N: u32 = 20_000;
+        let mut forest = RouteForest {
+            roots: vec![tid(0, 0)],
+            ..Default::default()
+        };
+        for n in 0..N - 1 {
+            forest.branches.insert(
+                tid(0, n),
+                vec![branch(TgdId::Target(0), &[tid(0, n + 1)], &[tid(0, n)])],
+            );
+        }
+        forest.branches.insert(
+            tid(0, N - 1),
+            vec![branch(TgdId::St(0), &[tid(9, 0)], &[tid(0, N - 1)])],
+        );
+        assert_eq!(forest.provable_set().len(), N as usize);
+        assert!(forest.all_roots_provable());
     }
 
     #[test]

@@ -25,9 +25,13 @@ cargo fmt --check --manifest-path perfbench/Cargo.toml
 CARGO_TARGET_DIR=.bench_build cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Parallel-execution determinism gate: the chase and route-forest results
-# must be byte-identical to sequential at every worker count. Run the
-# suite under two ROUTES_THREADS overrides (the tests additionally sweep
-# explicit pool sizes 1/2/8 internally).
+# must be byte-identical to sequential at every worker count. The forest
+# builder, which expands each wave set-at-a-time, must also match its
+# differential oracle (the per-tuple depth-first builder) byte for byte
+# on random, TPC-H M0-M3, deep-hierarchy, pipeline and egd scenarios, and
+# the batched findHom must give every probe its lazy next_hom sequence.
+# Run the suite under two ROUTES_THREADS overrides (the tests additionally
+# sweep explicit pool sizes 1/2/8 internally).
 ROUTES_THREADS=2 cargo test -q --offline --test parallel_determinism
 ROUTES_THREADS=8 cargo test -q --offline --test parallel_determinism
 
