@@ -174,13 +174,18 @@ impl<'a> Stages<'a> {
             let mut hom = homs
                 .total(row)
                 .expect("all tgd variables occur in LHS ∪ RHS");
-            // The tag is the highest variable, so the last column.
-            let probe = match tagged.then(|| hom.pop()) {
-                None => 0,
-                Some(Some(Value::Int(p))) => p as usize,
-                Some(other) => unreachable!("tag column holds {other:?}"),
+            let (probe, hom): (usize, Box<[Value]>) = if tagged {
+                // The tag is the highest variable, so the last column. The
+                // rest is copied to an exact allocation: shrinking in place
+                // may keep the tag's slot (an allocator need not split off
+                // so small a remainder), and a forest keeps every assignment.
+                match hom.pop() {
+                    Some(Value::Int(p)) => (p as usize, hom[..].into()),
+                    other => unreachable!("tag column holds {other:?}"),
+                }
+            } else {
+                (0, hom.into_boxed_slice())
             };
-            let hom = hom.into_boxed_slice();
             if let Some(Some(seen)) = seen.get_mut(probe) {
                 if !seen.insert(hom.clone()) {
                     continue;
