@@ -181,7 +181,7 @@ const FIG10D_TRIALS: usize = 7;
 /// covers forest construction only, matching the paper ("does not include
 /// the time required to print all routes").
 ///
-/// Each cell is the median of [`FIG10D_TRIALS`] timed runs after a warm-up
+/// Each cell is the median of `FIG10D_TRIALS` timed runs after a warm-up
 /// ([`bench_timed`]), written with the runs' min and max; the ratio is of
 /// the medians.
 pub fn fig10d(sizing: &Sizing) -> Table {
